@@ -129,8 +129,11 @@ class FleetLoopRig {
                                  std::span<const std::uint8_t> bytes) {
         return mux_->inject_at(ord, in_port, bytes);
       };
-      hooks.on_update_confirmed = [this](std::uint64_t,
-                                         netbase::SimTime latency) {
+      // The hook carries the confirm time; the latency (issue to confirm)
+      // is what the Monitor's own histogram takes.
+      hooks.on_update_confirmed = [this, sw](std::uint64_t, netbase::SimTime) {
+        const netbase::SimTime latency =
+            fleet_->monitor(sw)->last_confirm_latency();
         confirm_latencies_.push_back(static_cast<double>(latency) / 1e6);
       };
       Monitor* mon = fleet_->add_shard(sw, std::move(hooks));

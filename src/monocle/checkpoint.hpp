@@ -54,7 +54,9 @@ struct Checkpoint {
   static constexpr std::uint64_t kFleetStateKey = ~std::uint64_t{0};
 
   SwitchId shard = 0;
-  netbase::SimTime when = 0;        ///< Runtime::now() at the snapshot
+  /// Runtime::now() at the encode.  Restore never reads it: the Fleet
+  /// keeps an unchanged shard's stored snapshot rather than re-encode it.
+  netbase::SimTime when = 0;
   openflow::Epoch epoch = 0;        ///< table epoch the snapshot is consistent at
   openflow::Epoch epoch_floor = 0;  ///< monitor-wide channel barrier floor
   std::uint64_t budget = 0;         ///< last-planned elastic budget (0 = none)

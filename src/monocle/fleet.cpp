@@ -86,6 +86,7 @@ Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
                                            std::move(hooks));
   Monitor* raw = monitor.get();
   shards_[sw] = std::move(monitor);
+  rebuild_round_colour(sw);
   budgeter_.register_shard(sw);
   if (config_.telemetry != nullptr) attach_telemetry(sw, raw);
   return raw;
@@ -108,14 +109,16 @@ void Fleet::attach_telemetry(SwitchId sw, Monitor* mon) {
                     : runtime_;
   Monitor::Hooks& hooks = mon->hooks_for_test();
 
+  // The hook carries the confirm time; the journal's kConfirm arg is the
+  // issue-to-confirm latency, which the Monitor keeps for the hook's span.
   auto prev_confirm = std::move(hooks.on_update_confirmed);
   hooks.on_update_confirmed = [hub, sw, mon, rt,
                                prev = std::move(prev_confirm)](
-                                  std::uint64_t cookie,
-                                  netbase::SimTime latency) {
-    hub->record({rt->now(), sw, cookie, mon->epoch(), latency,
-                 telemetry::EventKind::kConfirm, 0});
-    if (prev) prev(cookie, latency);
+                                  std::uint64_t cookie, netbase::SimTime when) {
+    hub->record({rt->now(), sw, cookie, mon->epoch(),
+                 mon->last_confirm_latency(), telemetry::EventKind::kConfirm,
+                 0});
+    if (prev) prev(cookie, when);
   };
 
   auto prev_failed = std::move(hooks.on_update_failed);
@@ -278,8 +281,8 @@ bool Fleet::remove_shard(SwitchId sw) {
   if (it == shards_.end()) return false;
   // Multi-worker: the shard's timers live on its worker's Runtime, so the
   // stop must run THERE (the handoff rule).  Afterwards the Monitor is
-  // inert — no future round can reach it (round_work_ is repartitioned from
-  // shards_ each round) — so destroying it here is safe.
+  // inert — no future round can reach it (its slot leaves the round plan
+  // below) — so destroying it here is safe.
   if (engine_ != nullptr && engine_->running()) {
     Monitor* doomed = it->second.get();
     engine_->run_on(shard_worker(sw), [doomed] { doomed->stop(); });
@@ -294,6 +297,7 @@ bool Fleet::remove_shard(SwitchId sw) {
   }
   shards_.erase(it);
   shard_worker_.erase(sw);
+  rebuild_round_colour(sw);
   if (config_.on_shard_removed) config_.on_shard_removed(sw);
   return true;
 }
@@ -306,6 +310,61 @@ Monitor* Fleet::monitor(SwitchId sw) const {
 void Fleet::set_schedule(RoundSchedule schedule) {
   schedule_ = std::move(schedule);
   cursor_ = 0;
+  rebuild_round_plan();
+}
+
+void Fleet::rebuild_round_plan() {
+  std::map<SwitchId, ShardSlot> old;
+  for (const auto& colour : round_plan_) {
+    for (const ShardSlot& slot : colour) old.emplace(slot.sw, slot);
+  }
+  round_plan_.assign(schedule_.round_count(), {});
+  for (std::size_t c = 0; c < round_plan_.size(); ++c) {
+    for (const SwitchId sw : schedule_.round(c)) {
+      const auto it = shards_.find(sw);
+      if (it == shards_.end()) continue;  // scheduled but unmonitored switch
+      ShardSlot slot;
+      if (const auto prev = old.find(sw); prev != old.end()) slot = prev->second;
+      slot.sw = sw;
+      slot.monitor = it->second.get();
+      slot.worker = shard_worker(sw);
+      round_plan_[c].push_back(slot);
+    }
+  }
+}
+
+void Fleet::rebuild_round_colour(SwitchId sw) {
+  const int colour = schedule_.round_of(sw);
+  if (colour < 0 || static_cast<std::size_t>(colour) >= round_plan_.size()) {
+    return;
+  }
+  // Old slots are a subsequence of the schedule's order, so one merge pass
+  // carries every surviving shard's bookkeeping over.
+  std::vector<ShardSlot>& slots = round_plan_[static_cast<std::size_t>(colour)];
+  std::vector<ShardSlot> fresh;
+  std::size_t j = 0;
+  for (const SwitchId member : schedule_.round(static_cast<std::size_t>(colour))) {
+    ShardSlot slot;
+    if (j < slots.size() && slots[j].sw == member) slot = slots[j++];
+    const auto it = shards_.find(member);
+    if (it == shards_.end()) continue;
+    slot.sw = member;
+    slot.monitor = it->second.get();
+    slot.worker = shard_worker(member);
+    fresh.push_back(slot);
+  }
+  slots = std::move(fresh);
+}
+
+Fleet::ShardSlot* Fleet::find_slot(SwitchId sw) {
+  const int colour = schedule_.round_of(sw);
+  if (colour < 0 || static_cast<std::size_t>(colour) >= round_plan_.size()) {
+    return nullptr;
+  }
+  for (ShardSlot& slot : round_plan_[static_cast<std::size_t>(colour)]) {
+    if (slot.sw == sw) return &slot;
+  }
+  return nullptr;
 }
 
 void Fleet::warm_caches() {
@@ -348,6 +407,7 @@ void Fleet::prepare() {
     ids.reserve(shards_.size());
     for (const auto& [sw, monitor] : shards_) ids.push_back(sw);
     schedule_ = RoundSchedule::sequential(ids);
+    rebuild_round_plan();
   }
   for (auto& [sw, monitor] : shards_) monitor->install_infrastructure();
   warm_caches();
@@ -417,13 +477,14 @@ void Fleet::stop() {
 
 std::size_t Fleet::start_round() {
   if (schedule_.round_count() == 0) return 0;
-  const std::vector<SwitchId>& round = schedule_.round(cursor_);
+  const std::size_t colour = cursor_;
   cursor_ = (cursor_ + 1) % schedule_.round_count();
   // The fault plan and checkpoint writer index rounds from 0; the counter
   // itself resumes across restarts (FleetCheckpoint), so a restored fleet's
   // crash schedule lines up with the control fleet's.
   const std::uint64_t round_index = stats_.rounds_started;
   bump(stats_.rounds_started);
+  const std::vector<ShardSlot>& round = round_plan_[colour];
   if (config_.crash_plan != nullptr) apply_crash_plan(round, round_index);
   // Elastic budgets are planned here, on the orchestration thread, BEFORE
   // the engine barrier — the previous round's barrier already ordered every
@@ -440,39 +501,35 @@ std::size_t Fleet::start_round() {
     // never looks anything up.
     for (auto& work : round_work_) work.clear();
     for (auto& budget : round_budget_) budget.clear();
-    for (const SwitchId sw : round) {
-      const auto it = shards_.find(sw);
-      if (it == shards_.end()) continue;  // scheduled but unmonitored switch
-      if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) {
+    for (const ShardSlot& slot : round) {
+      if (shard_quarantined(slot.sw) || crash_plan_blocks(slot, round_index)) {
         continue;  // no burst: the heartbeat stalls, the supervisor sees it
       }
-      const std::size_t worker = shard_worker(sw);
-      round_work_[worker].push_back(it->second.get());
-      round_budget_[worker].push_back(config_.elastic_budget
-                                          ? budgeter_.budget_for(sw)
-                                          : config_.probes_per_switch);
+      round_work_[slot.worker].push_back(slot.monitor);
+      round_budget_[slot.worker].push_back(config_.elastic_budget
+                                               ? budgeter_.budget_for(slot.sw)
+                                               : config_.probes_per_switch);
     }
     injected = engine_->run_round();
     bump(stats_.probes_injected, injected);
     drain_mailbox();
   } else {
-    for (const SwitchId sw : round) {
-      const auto it = shards_.find(sw);
-      if (it == shards_.end()) continue;  // scheduled but unmonitored switch
-      if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) {
+    for (const ShardSlot& slot : round) {
+      if (shard_quarantined(slot.sw) || crash_plan_blocks(slot, round_index)) {
         continue;
       }
-      injected += it->second->steady_probe_burst(
-          config_.elastic_budget ? budgeter_.budget_for(sw)
+      injected += slot.monitor->steady_probe_burst(
+          config_.elastic_budget ? budgeter_.budget_for(slot.sw)
                                  : config_.probes_per_switch);
     }
     bump(stats_.probes_injected, injected);
   }
   // Watchdog sweep, then the incremental checkpoint — in that order, so a
   // shard quarantined THIS round is never snapshotted in its wedged state.
-  if (supervisor_.enabled) supervise_round(round);
+  // Both update the colour's slots (heartbeats, checkpoint ages).
+  if (supervisor_.enabled) supervise_round(colour);
   if (config_.checkpoints != nullptr) {
-    write_round_checkpoint(round, round_index);
+    write_round_checkpoint(colour, round_index);
   }
   // Endurance cadence: amortized session maintenance off the probe path.
   if (config_.maintenance_interval_rounds > 0 &&
@@ -483,14 +540,13 @@ std::size_t Fleet::start_round() {
   return injected;
 }
 
-void Fleet::plan_budgets(const std::vector<SwitchId>& round) {
+void Fleet::plan_budgets(const std::vector<ShardSlot>& round) {
   budget_members_.clear();
   pressure_.clear();
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
-    if (shard_quarantined(sw)) continue;  // no burst, no budget share
-    const Monitor& mon = *it->second;
+  for (const ShardSlot& slot : round) {
+    if (shard_quarantined(slot.sw)) continue;  // no burst, no budget share
+    const SwitchId sw = slot.sw;
+    const Monitor& mon = *slot.monitor;
     ShardPressure p;
     p.backlog = mon.pending_update_count();
     p.deltas_applied = mon.stats().deltas_applied;
@@ -602,14 +658,19 @@ void Fleet::note_delta(SwitchId sw, const openflow::TableDelta& delta) {
   }
 }
 
-void Fleet::collect_reports(
-    std::vector<SwitchFailureReport>& reports,
-    std::vector<std::unordered_set<std::uint64_t>>& exclusions) const {
+void Fleet::collect_reports() const {
   const netbase::SimTime now = runtime_->now();
-  reports.reserve(shards_.size());
-  exclusions.reserve(shards_.size());
+  reports_.clear();
+  std::size_t used = 0;  // exclusion sets handed out this pass
   for (const auto& [sw, monitor] : shards_) {
-    std::unordered_set<std::uint64_t> excluded;
+    reports_.push_back({sw, &monitor->expected_table(),
+                        &monitor->failed_rules(), nullptr});
+    // localize_network walks only shards with failed rules, so only they
+    // need their churn exclusions.
+    if (monitor->failed_rules().empty()) continue;
+    if (used == exclusions_.size()) exclusions_.emplace_back();
+    std::unordered_set<std::uint64_t>& excluded = exclusions_[used++];
+    excluded.clear();
     for (const std::uint64_t cookie : monitor->pending_update_cookies()) {
       excluded.insert(cookie);
     }
@@ -618,13 +679,7 @@ void Fleet::collect_reports(
         if (when + config_.churn_exclusion > now) excluded.insert(cookie);
       }
     }
-    exclusions.push_back(std::move(excluded));
-    reports.push_back({sw, &monitor->expected_table(),
-                       &monitor->failed_rules(), nullptr});
-  }
-  // Wire the pointers only after `exclusions` stopped reallocating.
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (!exclusions[i].empty()) reports[i].excluded = &exclusions[i];
+    if (!excluded.empty()) reports_.back().excluded = &excluded;
   }
 }
 
@@ -637,10 +692,8 @@ void Fleet::schedule_evidence_pass(netbase::SimTime delay) {
 
 void Fleet::run_evidence_pass() {
   bump(stats_.evidence_passes);
-  std::vector<SwitchFailureReport> reports;
-  std::vector<std::unordered_set<std::uint64_t>> exclusions;
-  collect_reports(reports, exclusions);
-  evidence_.observe(reports, *view_, runtime_->now());
+  collect_reports();
+  evidence_.observe(reports_, *view_, runtime_->now());
 
   const NetworkDiagnosis diag = evidence_.diagnosis();
   // Publish confirmed, CHANGED diagnoses only: a stable fault pages once.
@@ -670,10 +723,8 @@ void Fleet::run_evidence_pass() {
 }
 
 NetworkDiagnosis Fleet::diagnose() const {
-  std::vector<SwitchFailureReport> reports;
-  std::vector<std::unordered_set<std::uint64_t>> exclusions;
-  collect_reports(reports, exclusions);
-  return localize_network(reports, *view_, config_.localizer);
+  collect_reports();
+  return localize_network(reports_, *view_, config_.localizer);
 }
 
 std::size_t Fleet::outstanding_probes() const {
@@ -871,30 +922,30 @@ void Fleet::enable_supervision(SupervisorOptions opts) {
   supervisor_.enabled = true;
 }
 
-bool Fleet::crash_plan_blocks(SwitchId sw, std::uint64_t round_index) const {
+bool Fleet::crash_plan_blocks(const ShardSlot& slot,
+                              std::uint64_t round_index) const {
   const CrashPlan* plan = config_.crash_plan;
   if (plan == nullptr) return false;
-  return plan->shard_dead(sw, round_index) ||
-         plan->shard_wedged(sw, round_index) ||
-         plan->worker_wedged(shard_worker(sw), round_index);
+  return plan->shard_dead(slot.sw, round_index) ||
+         plan->shard_wedged(slot.sw, round_index) ||
+         plan->worker_wedged(slot.worker, round_index);
 }
 
-void Fleet::apply_crash_plan(const std::vector<SwitchId>& round,
+void Fleet::apply_crash_plan(const std::vector<ShardSlot>& round,
                              std::uint64_t round_index) {
   CrashPlan* plan = config_.crash_plan;
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
-    Monitor* mon = it->second.get();
+  for (const ShardSlot& slot : round) {
+    const SwitchId sw = slot.sw;
+    Monitor* mon = slot.monitor;
     if (plan->kill_fires(sw, round_index)) {
       // The shard "process" dies: timers and steady pacing die with it, on
       // its owning worker.  The supervisor is told nothing — it must detect
       // the death from the stalled heartbeat alone.
       ++plan->stats().kills;
-      run_on_worker(shard_worker(sw), [mon] { mon->stop(); });
+      run_on_worker(slot.worker, [mon] { mon->stop(); });
     }
     if (plan->shard_wedged(sw, round_index) ||
-        plan->worker_wedged(shard_worker(sw), round_index)) {
+        plan->worker_wedged(slot.worker, round_index)) {
       ++plan->stats().wedge_rounds;
     }
     // Channel tears are edge-triggered on the window boundaries, so the
@@ -908,35 +959,36 @@ void Fleet::apply_crash_plan(const std::vector<SwitchId>& round,
       } else {
         torn_channels_.erase(sw);
       }
-      run_on_worker(shard_worker(sw),
+      run_on_worker(slot.worker,
                     [mon, torn] { mon->on_channel_state(!torn); });
     }
     if (torn) ++plan->stats().tear_rounds;
   }
 }
 
-void Fleet::supervise_round(const std::vector<SwitchId>& round) {
+void Fleet::supervise_round(std::size_t colour) {
   // Heartbeat sweep: a scheduled, non-quarantined shard whose burst counter
   // did not advance this round missed a beat.
   std::vector<SwitchId> stalled;
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
-    if (supervisor_.quarantined.contains(sw)) continue;
-    const std::uint32_t burst = it->second->burst_count();
-    const auto [lb, fresh] = supervisor_.last_burst.try_emplace(sw, burst);
-    if (fresh) continue;  // first observation: baseline only
-    if (burst != lb->second) {
-      lb->second = burst;
-      supervisor_.missed[sw] = 0;
+  for (ShardSlot& slot : round_plan_[colour]) {
+    if (shard_quarantined(slot.sw)) continue;
+    const std::uint32_t burst = slot.monitor->burst_count();
+    if (!slot.heartbeat_seen) {  // first observation: baseline only
+      slot.heartbeat_seen = true;
+      slot.last_burst = burst;
+      continue;
+    }
+    if (burst != slot.last_burst) {
+      slot.last_burst = burst;
+      slot.missed = 0;
       continue;
     }
     ++supervisor_.stats.heartbeats_missed;
-    if (++supervisor_.missed[sw] >= supervisor_.options.missed_rounds) {
-      supervisor_.missed[sw] = 0;
-      supervisor_.quarantined.insert(sw);
+    if (++slot.missed >= supervisor_.options.missed_rounds) {
+      slot.missed = 0;
+      supervisor_.quarantined.insert(slot.sw);
       ++supervisor_.stats.quarantines;
-      stalled.push_back(sw);
+      stalled.push_back(slot.sw);
     }
   }
   if (stalled.empty() || !supervisor_.options.auto_restore) return;
@@ -967,10 +1019,12 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   const std::size_t old_worker = shard_worker(sw);
   // Reset on the OLD worker — its Runtime owns whatever timers survive.
   run_on_worker(old_worker, [mon] { mon->reset_for_recovery(); });
+  ShardSlot* slot = find_slot(sw);
   if (new_worker != old_worker && multi_worker()) {
     mon->rebind_runtime(
         config_.worker_runtimes[new_worker % config_.worker_runtimes.size()]);
     shard_worker_[sw] = new_worker;
+    if (slot != nullptr) slot->worker = new_worker;  // in place: mid-sweep safe
     ++supervisor_.stats.worker_reassignments;
   }
   std::optional<Checkpoint> cp;
@@ -1007,43 +1061,48 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   if (supervisor_.quarantined.erase(sw) > 0) {
     ++supervisor_.stats.readmissions;
   }
-  supervisor_.last_burst[sw] = mon->burst_count();
-  supervisor_.missed[sw] = 0;
+  if (slot != nullptr) {
+    slot->heartbeat_seen = true;
+    slot->last_burst = mon->burst_count();
+    slot->missed = 0;
+  }
   if (config_.crash_plan != nullptr) config_.crash_plan->revive_shard(sw);
   return true;
 }
 
-void Fleet::write_round_checkpoint(const std::vector<SwitchId>& round,
+void Fleet::write_round_checkpoint(std::size_t colour,
                                    std::uint64_t round_index) {
-  if (round.empty()) return;
-  // One member per round — the least-recently-snapshotted one — so
-  // incremental checkpointing spreads the encode cost across rounds yet
-  // provably re-covers every shard within one rotation's worth of
-  // appearances.
-  Monitor* target = nullptr;
-  SwitchId target_sw = 0;
-  std::uint64_t target_age = ~std::uint64_t{0};
-  for (const SwitchId sw : round) {
-    const auto sit = shards_.find(sw);
-    if (sit == shards_.end()) continue;
+  // One member per round — the least-recently-visited one — so incremental
+  // checkpointing spreads the encode cost across rounds yet provably
+  // re-covers every shard within one rotation's worth of appearances.
+  ShardSlot* target = nullptr;
+  for (ShardSlot& slot : round_plan_[colour]) {
     // A quarantined shard's state is mid-wedge, and a dead/wedged process
     // could not have written a checkpoint — skip both.
-    if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) continue;
-    const auto age_it = checkpoint_age_.find(sw);
-    const std::uint64_t age =
-        age_it == checkpoint_age_.end() ? 0 : age_it->second;
-    if (age < target_age) {
-      target = sit->second.get();
-      target_sw = sw;
-      target_age = age;
+    if (shard_quarantined(slot.sw) || crash_plan_blocks(slot, round_index)) {
+      continue;
+    }
+    if (target == nullptr || slot.checkpoint_age < target->checkpoint_age) {
+      target = &slot;
     }
   }
   if (target == nullptr) return;
-  checkpoint_age_[target_sw] = round_index + 1;
-  target->encode_checkpoint(
-      checkpoint_buf_,
-      config_.elastic_budget ? budgeter_.budget_for(target_sw) : 0);
-  config_.checkpoints->append(target_sw, checkpoint_buf_);
+  target->checkpoint_age = round_index + 1;
+  // Unchanged since its stored snapshot: that record already holds these
+  // bytes (all but `when`, which restore never reads) and is still the
+  // latest for its key — the store carries latest records forward — so
+  // the encode and the append are skipped.
+  const std::uint64_t budget =
+      config_.elastic_budget ? budgeter_.budget_for(target->sw) : 0;
+  const std::uint64_t version = target->monitor->checkpoint_version();
+  if (!target->checkpoint_written || version != target->checkpoint_version ||
+      budget != target->checkpoint_budget) {
+    target->monitor->encode_checkpoint(checkpoint_buf_, budget);
+    config_.checkpoints->append(target->sw, checkpoint_buf_);
+    target->checkpoint_written = true;
+    target->checkpoint_version = version;
+    target->checkpoint_budget = budget;
+  }
   // The fleet-level record rides along: budget carry + the round counter
   // (so a restored fleet's crash/round indexing stays aligned).
   FleetCheckpoint fc;

@@ -130,12 +130,15 @@ class Fleet {
     /// zero overhead.
     telemetry::TelemetryHub* telemetry = nullptr;
     /// Crash-safety plane (checkpoint.hpp; docs/DESIGN.md §15).  When set,
-    /// start_round() snapshots one round-member shard per round (round-robin
-    /// cursor, so a fleet of N is fully re-covered every N scheduled
-    /// appearances) plus the fleet-level record, through the reusable encode
-    /// buffer — the steady cycle stays allocation-free with checkpointing
-    /// on.  restore() warm-restarts from the store's latest valid snapshots.
-    /// Must outlive the Fleet.  Null: off, zero overhead.
+    /// start_round() visits one round-member shard per round — the least
+    /// recently visited, so every shard comes up within one rotation's
+    /// worth of appearances — and snapshots it only when its
+    /// Monitor::checkpoint_version() or budget changed since its stored
+    /// snapshot, plus the fleet-level record every round.  Encoding goes
+    /// through a reusable buffer, so the steady cycle stays allocation-free
+    /// with checkpointing on.  restore() warm-restarts from the store's
+    /// latest valid snapshots.  Must outlive the Fleet.  Null: off, zero
+    /// overhead.
     telemetry::CheckpointStore* checkpoints = nullptr;
     /// Deterministic fault-injection schedule (crash_plan.hpp), consulted at
     /// every round boundary: kills stop the shard's Monitor, wedges skip its
@@ -252,7 +255,9 @@ class Fleet {
   [[nodiscard]] openflow::Epoch shard_epoch(SwitchId sw) const;
 
   /// Runs the cross-switch localization pipeline over all shards now (one
-  /// boolean pass; churn-excluded rules never enter corroboration).
+  /// boolean pass; churn-excluded rules never enter corroboration).  Costs
+  /// O(tables of shards with failed rules) plus one report per shard; the
+  /// report buffers are reused, so call it from the orchestration thread.
   [[nodiscard]] NetworkDiagnosis diagnose() const;
 
   /// The evidence accumulator behind the debounced pipeline (read-only;
@@ -370,9 +375,8 @@ class Fleet {
     SupervisorOptions options;
     SupervisorStats stats;
     bool enabled = false;
-    std::map<SwitchId, std::uint32_t> last_burst;  ///< burst_count at last run
-    std::map<SwitchId, std::size_t> missed;        ///< consecutive stalls
     std::unordered_set<SwitchId> quarantined;
+    // Per-shard heartbeat state lives in the round plan (ShardSlot).
   };
 
   // Two overloads instead of `SupervisorOptions opts = {}` (GCC 12 nested-
@@ -381,7 +385,38 @@ class Fleet {
   void enable_supervision(SupervisorOptions opts);
   [[nodiscard]] const Supervisor& supervisor() const { return supervisor_; }
   [[nodiscard]] bool shard_quarantined(SwitchId sw) const {
-    return supervisor_.quarantined.contains(sw);
+    return !supervisor_.quarantined.empty() &&
+           supervisor_.quarantined.contains(sw);
+  }
+
+  /// One scheduled shard as the round path sees it.  The round plan holds
+  /// one vector of these per schedule colour, in schedule order, built when
+  /// the schedule, the shard set or a shard's worker changes — so a round
+  /// resolves its members without any per-member map lookup.  The slot also
+  /// carries the shard's per-round bookkeeping: checkpoint age and stored
+  /// version, and the supervisor's heartbeat baseline.
+  struct ShardSlot {
+    SwitchId sw = 0;
+    Monitor* monitor = nullptr;
+    std::size_t worker = 0;
+    /// Round index + 1 of the last checkpoint visit (0 = never).
+    std::uint64_t checkpoint_age = 0;
+    /// Monitor::checkpoint_version() and budget of the stored snapshot,
+    /// valid once checkpoint_written.
+    bool checkpoint_written = false;
+    std::uint64_t checkpoint_version = 0;
+    std::uint64_t checkpoint_budget = 0;
+    /// Heartbeat: burst_count at the last sweep (valid once
+    /// heartbeat_seen) and consecutive stalled sweeps.
+    bool heartbeat_seen = false;
+    std::uint32_t last_burst = 0;
+    std::size_t missed = 0;
+  };
+  /// The plan's slots for schedule colour `colour` (read-only; tests use
+  /// it to check the plan follows shard and schedule changes).
+  [[nodiscard]] const std::vector<ShardSlot>& round_plan(
+      std::size_t colour) const {
+    return round_plan_[colour];
   }
 
   /// Restores one quarantined (or wedged) shard: stop + reset on its owning
@@ -422,35 +457,41 @@ class Fleet {
   void drain_mailbox();
 
   void warm_caches();
+  /// Rebuilds every colour's slots from schedule_ (set_schedule, prepare),
+  /// carrying each shard's bookkeeping over from its old slot.
+  void rebuild_round_plan();
+  /// Rebuilds the slots of `sw`'s colour only (add_shard, remove_shard).
+  void rebuild_round_colour(SwitchId sw);
+  /// The slot of `sw`, or null when the shard is unscheduled.
+  ShardSlot* find_slot(SwitchId sw);
   /// Samples every round member's pressure signals and re-plans its budget
   /// (Config::elastic_budget).  Orchestration thread, between rounds — the
   /// engine barrier makes the shard reads race-free.
-  void plan_budgets(const std::vector<SwitchId>& round);
+  void plan_budgets(const std::vector<ShardSlot>& round);
   void schedule_next_round();
   void note_alarm();
   /// Records a shard's delta for the churn-exclusion window.
   void note_delta(SwitchId sw, const openflow::TableDelta& delta);
-  /// Builds per-shard reports; `exclusions` (parallel to `reports`) owns
-  /// the excluded-cookie sets for the duration of the localization call.
-  void collect_reports(
-      std::vector<SwitchFailureReport>& reports,
-      std::vector<std::unordered_set<std::uint64_t>>& exclusions) const;
+  /// Fills reports_ with one report per shard.  Only shards with failed
+  /// rules get an exclusion set (from exclusions_): localize_network walks
+  /// no other table.
+  void collect_reports() const;
   void schedule_evidence_pass(netbase::SimTime delay);
   void run_evidence_pass();
   /// Applies Config::crash_plan's events for this round boundary: kills
   /// stop the Monitor on its worker, channel tears toggle on_channel_state.
-  void apply_crash_plan(const std::vector<SwitchId>& round,
+  void apply_crash_plan(const std::vector<ShardSlot>& round,
                         std::uint64_t round_index);
-  /// True when the crash plan says `sw` is not executing this round.
-  [[nodiscard]] bool crash_plan_blocks(SwitchId sw,
+  /// True when the crash plan says the shard is not executing this round.
+  [[nodiscard]] bool crash_plan_blocks(const ShardSlot& slot,
                                        std::uint64_t round_index) const;
-  /// Heartbeat sweep over this round's scheduled shards; quarantines and
-  /// (auto_restore) restores stalled ones.
-  void supervise_round(const std::vector<SwitchId>& round);
-  /// Snapshots one round member (round-robin) plus the fleet-level record
-  /// into Config::checkpoints.
-  void write_round_checkpoint(const std::vector<SwitchId>& round,
-                              std::uint64_t round_index);
+  /// Heartbeat sweep over colour `colour`'s scheduled shards; quarantines
+  /// and (auto_restore) restores stalled ones.
+  void supervise_round(std::size_t colour);
+  /// Visits the least-recently-visited member of colour `colour`, snapshots
+  /// it into Config::checkpoints if its checkpoint version or budget
+  /// changed since its stored snapshot, and appends the fleet-level record.
+  void write_round_checkpoint(std::size_t colour, std::uint64_t round_index);
   /// What the EventJournal records about `sw` PAST a snapshot's epoch:
   /// post-snapshot deltas (their cookies invalidate manifest entries) and
   /// post-snapshot verdict transitions, in journal order.
@@ -479,6 +520,8 @@ class Fleet {
   /// shard is destroyed so nothing dangles.
   std::map<SwitchId, std::function<void()>> shard_unbind_;
   RoundSchedule schedule_;
+  /// Per-colour shard slots (see ShardSlot), parallel to schedule_'s rounds.
+  std::vector<std::vector<ShardSlot>> round_plan_;
   std::size_t cursor_ = 0;
   bool prepared_ = false;
   bool running_ = false;
@@ -493,11 +536,15 @@ class Fleet {
   /// Per-shard recently-deltaed cookies, pruned past churn_exclusion.
   std::map<SwitchId, std::deque<std::pair<std::uint64_t, netbase::SimTime>>>
       recent_deltas_;
+  /// collect_reports scratch, reused by every evidence pass and diagnose()
+  /// (capacity kept; a deque so handed-out set pointers stay valid).
+  mutable std::vector<SwitchFailureReport> reports_;
+  mutable std::deque<std::unordered_set<std::uint64_t>> exclusions_;
   Stats stats_;
 
   // Multi-worker driver state (round_workers > 1).
   std::unique_ptr<RoundEngine> engine_;  // created by prepare()
-  /// Per-worker burst lists, repartitioned from the round's switches each
+  /// Per-worker burst lists, refilled from the round's plan slots each
   /// start_round(); vectors keep their capacity, so the steady state
   /// allocates nothing.
   std::vector<std::vector<Monitor*>> round_work_;
@@ -522,13 +569,6 @@ class Fleet {
 
   // Crash safety + supervision (docs/DESIGN.md §15).
   Supervisor supervisor_;
-  /// Incremental checkpoint writer: round each shard was last snapshotted
-  /// at (+1; absent = never).  Each round snapshots the least-recently
-  /// covered member, which provably sweeps the whole fleet — a plain
-  /// cursor mod round size can cycle over the same members when the
-  /// rotation length divides the round count.  One node per shard,
-  /// allocated on its first snapshot only (steady state stays alloc-free).
-  std::map<SwitchId, std::uint64_t> checkpoint_age_;
   /// Reusable encode buffers (capacity kept: zero steady-state allocs).
   std::vector<std::uint8_t> checkpoint_buf_;
   std::vector<std::uint8_t> fleet_checkpoint_buf_;

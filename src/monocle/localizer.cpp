@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace monocle {
 
@@ -68,12 +70,18 @@ NetworkDiagnosis localize_network(std::span<const SwitchFailureReport> reports,
   // independent suspicions land on the same entry (= corroboration).
   using LinkKey = std::tuple<SwitchId, std::uint16_t, SwitchId, std::uint16_t>;
   std::map<LinkKey, LinkDiagnosis> links;
-  std::unordered_set<SwitchId> reporting;
+  // A switch with no failed rule yields no suspect as long as a port group
+  // needs at least one failed rule or a non-zero failed fraction, so its
+  // table is never walked: a pass costs O(tables of failing switches), not
+  // O(fleet).  Its report still counts as a monitored witness below.
+  const LocalizerOptions& per_switch = options.per_switch;
+  const bool healthy_is_silent =
+      per_switch.min_failed_rules > 0 || per_switch.link_threshold > 0;
   for (const SwitchFailureReport& rep : reports) {
     if (rep.expected == nullptr || rep.failed == nullptr) continue;
-    reporting.insert(rep.sw);
+    if (healthy_is_silent && rep.failed->empty()) continue;
     const Diagnosis local = localize_failures(*rep.expected, *rep.failed,
-                                              options.per_switch, rep.excluded);
+                                              per_switch, rep.excluded);
     for (const LinkSuspect& suspect : local.failed_links) {
       SwitchId a = rep.sw;
       std::uint16_t port_a = suspect.port;
@@ -109,9 +117,35 @@ NetworkDiagnosis localize_network(std::span<const SwitchFailureReport> reports,
     }
   }
 
-  for (auto& [key, link] : links) {
-    link.peer_monitored = link.b != 0 && reporting.contains(link.a) &&
-                          reporting.contains(link.b);
+  // peer_monitored: both endpoints sent a report (failing or not).  Only
+  // the suspects' endpoints are looked up, so the scan allocates in
+  // proportion to the suspects, never to the fleet.
+  if (!links.empty()) {
+    std::vector<std::pair<SwitchId, bool>> reporting;  // endpoint, reported
+    for (const auto& [key, link] : links) {
+      reporting.emplace_back(link.a, false);
+      if (link.b != 0) reporting.emplace_back(link.b, false);
+    }
+    std::sort(reporting.begin(), reporting.end());
+    reporting.erase(std::unique(reporting.begin(), reporting.end()),
+                    reporting.end());
+    const auto entry = [&](SwitchId sw) {
+      return std::lower_bound(reporting.begin(), reporting.end(),
+                              std::pair<SwitchId, bool>{sw, false});
+    };
+    for (const SwitchFailureReport& rep : reports) {
+      if (rep.expected == nullptr || rep.failed == nullptr) continue;
+      const auto it = entry(rep.sw);
+      if (it != reporting.end() && it->first == rep.sw) it->second = true;
+    }
+    const auto reported = [&](SwitchId sw) {
+      const auto it = entry(sw);
+      return it != reporting.end() && it->first == sw && it->second;
+    };
+    for (auto& [key, link] : links) {
+      link.peer_monitored =
+          link.b != 0 && reported(link.a) && reported(link.b);
+    }
   }
 
   // Switch promotion: a switch most of whose inter-switch links are suspect

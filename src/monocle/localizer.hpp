@@ -174,7 +174,10 @@ struct NetworkLocalizerOptions {
 
 /// Diagnoses the whole fabric from per-switch failure reports.  `view`
 /// supplies the port-level topology used to name links and to corroborate
-/// the two independent per-endpoint suspicions of one link.
+/// the two independent per-endpoint suspicions of one link.  Reports with
+/// an empty failed set are not walked (they can name no suspect unless both
+/// LocalizerOptions thresholds are 0) and only witness peer_monitored, so
+/// the cost follows the failing switches' tables, not the fleet's.
 NetworkDiagnosis localize_network(std::span<const SwitchFailureReport> reports,
                                   const NetworkView& view,
                                   const NetworkLocalizerOptions& options = {});

@@ -37,7 +37,7 @@ void Monitor::install_infrastructure() {
   infrastructure_installed_ = true;
   for (const FlowMod& fm : plan_->rules_for(config_.switch_id)) {
     apply_table_delta(expected_.apply_add(fm.rule()));
-    rule_states_[fm.cookie] = RuleState::kConfirmed;
+    set_rule_state(fm.cookie, RuleState::kConfirmed);
     Message msg = openflow::make_message(0, fm);
     hooks_.to_switch(msg);
     ++stats_.flowmods_forwarded;
@@ -79,6 +79,7 @@ void Monitor::on_channel_state(bool up) {
       }
     }
     suspects_.clear();
+    ++checkpoint_version_;  // suspects gone, and the barrier epoch below
     // Echoes that left before the cut are stale on arrival: a barrier epoch
     // separates pre-outage injections from everything after.  (A channel
     // that was never up carried no probes, so there is nothing to stale.)
@@ -196,6 +197,7 @@ void Monitor::stop() {
   for (auto& [nonce, op] : outstanding_) runtime_->cancel(op.timer);
   outstanding_.clear();
   for (auto& [cookie, s] : suspects_) runtime_->cancel(s.timer);
+  if (!suspects_.empty()) ++checkpoint_version_;
   suspects_.clear();
   for (auto& [cookie, job] : updates_) {
     runtime_->cancel(job.inject_timer);
@@ -229,7 +231,8 @@ std::size_t Monitor::steady_probe_burst(std::size_t max_probes) {
 
 void Monitor::publish_telemetry() {
   if (stats_ring_ == nullptr) return;
-  refresh_solver_stats();  // O(live sessions), allocation-free
+  // O(live sessions) over cold solver state: only when a session moved.
+  if (solver_stats_stale_) refresh_solver_stats();
   using namespace telemetry;
   StatsSample s;
   s.shard = config_.switch_id;
@@ -295,6 +298,7 @@ void Monitor::refresh_solver_stats() {
   stats_.solver_live_words = live;
   stats_.solver_retired_vars = retired_vars;
   stats_.solver_live_vars = live_vars;
+  solver_stats_stale_ = false;
 }
 
 bool Monitor::session_dominated(const ProbeBatchSession& s) const {
@@ -331,6 +335,7 @@ std::size_t Monitor::rebuild_live_sessions() {
   const auto all_ports = injectable_ports();
   for (LiveSession& ls : live_sessions_) {
     if (!session_dominated(*ls.session)) continue;
+    solver_stats_stale_ = true;  // the parity query below runs on it
     auto fresh = std::make_unique<ProbeBatchSession>(
         expected_.table(), ls.collect, config_.miss_actions, config_.gen);
     // Parity check before the swap: the fresh session must classify a
@@ -454,7 +459,7 @@ void Monitor::seed_rule(const Rule& rule) {
   // probe cache was generated against — trusting it is the documented
   // harness contract, and matches pre-versioned-core behaviour.
   apply_table_delta(expected_.apply_add(rule), /*invalidate=*/false);
-  rule_states_[rule.cookie] = RuleState::kConfirmed;
+  set_rule_state(rule.cookie, RuleState::kConfirmed);
   steady_order_.clear();  // force rebuild
 }
 
@@ -605,7 +610,7 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
         const auto delta =
             expected_.apply_delete_strict(victim.match, victim.priority);
         if (delta.has_value()) apply_table_delta(*delta);
-        rule_states_.erase(victim.cookie);
+        erase_rule_state(victim.cookie);
       }
       for (auto& job : jobs) start_update_job(std::move(job));
       break;
@@ -618,7 +623,7 @@ void Monitor::start_update_job(UpdateJob job) {
   const std::uint64_t cookie = job.rule.cookie;
   job.epoch = expected_.epoch();
   job.started = runtime_->now();
-  rule_states_[cookie] = RuleState::kPending;
+  set_rule_state(cookie, RuleState::kPending);
 
   if (job.kind == UpdateJob::Kind::kAdd && !job.probe.has_value()) {
     const Probe* p = probe_for(job.rule);
@@ -669,7 +674,7 @@ void Monitor::schedule_update_give_up(std::uint64_t cookie) {
         runtime_->cancel(it->second.inject_timer);
         updates_.erase(it);
         purge_outstanding_for(cookie);
-        rule_states_[cookie] = RuleState::kFailed;
+        set_rule_state(cookie, RuleState::kFailed);
         confirm_barriers_waiting_on(cookie);
         drain_hold_queue();
       });
@@ -729,13 +734,14 @@ void Monitor::confirm_update(std::uint64_t cookie) {
   purge_outstanding_for(cookie);
 
   if (job.kind == UpdateJob::Kind::kDelete) {
-    rule_states_.erase(cookie);
+    erase_rule_state(cookie);
   } else {
-    rule_states_[cookie] = RuleState::kConfirmed;
+    set_rule_state(cookie, RuleState::kConfirmed);
   }
   steady_order_.clear();  // the confirmed rule now joins the steady cycle
   ++stats_.updates_confirmed;
   const netbase::SimTime latency = runtime_->now() - job.started;
+  last_confirm_latency_ = latency;
   ++stats_.confirm_latency_count;
   stats_.confirm_latency_sum_ns += latency;
   ++stats_.confirm_latency_hist[telemetry::confirm_latency_bucket(latency)];
@@ -894,6 +900,7 @@ ProbeCache::Entry* Monitor::probe_entry_for(const Rule& rule) {
   if (config_.delta_maintenance && config_.batch_generation) {
     // Lazy misses ride the warm delta-maintained session too.
     ProbeBatchSession& session = live_session_for(collect);
+    solver_stats_stale_ = true;
     if (!all_ports.empty()) {
       const std::uint16_t preferred = hashed_in_port(rule, all_ports);
       gen = session.generate(rule, std::span(&preferred, 1));
@@ -925,15 +932,16 @@ const Probe* Monitor::commit_generation_result(const Rule& rule,
                                                ProbeGenResult gen) {
   auto& entry = cache_->entries[rule.cookie];
   entry.epoch = expected_.epoch();
+  ++cache_->version;
   ++stats_.probe_generations;
   if (!gen.ok()) {
     entry.failure = gen.failure;
-    rule_states_[rule.cookie] = RuleState::kUnmonitorable;
+    set_rule_state(rule.cookie, RuleState::kUnmonitorable);
     return nullptr;
   }
   if (egress_unobservable(*gen.probe)) {
     entry.failure = ProbeFailure::kEgress;
-    rule_states_[rule.cookie] = RuleState::kUnmonitorable;
+    set_rule_state(rule.cookie, RuleState::kUnmonitorable);
     return nullptr;
   }
   entry.probe = std::move(gen.probe);
@@ -989,6 +997,7 @@ void Monitor::batch_generate_into_cache(
       // Two-step port preference per rule, exactly like probe_for, so the
       // delta path and the lazy path produce identical cache contents.
       ProbeBatchSession& session = live_session_for(group.collect);
+      solver_stats_stale_ = true;
       for (const Rule* rule : group.rules) {
         ProbeGenResult gen;
         if (!all_ports.empty()) {
@@ -1102,6 +1111,7 @@ ProbeBatchSession& Monitor::live_session_for(const Match& collect) {
   for (auto& ls : live_sessions_) {
     if (ls.collect == collect) return *ls.session;
   }
+  solver_stats_stale_ = true;
   live_sessions_.push_back(
       {collect, std::make_unique<ProbeBatchSession>(
                     expected_.table(), collect, config_.miss_actions,
@@ -1113,6 +1123,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
                                 bool invalidate) {
   using Kind = openflow::TableDelta::Kind;
   ++stats_.deltas_applied;
+  ++checkpoint_version_;  // new epoch; floors and suspects may change below
   // Every table mutation funnels through here, and the steady cycle caches
   // raw Rule* into the table's rule vector (SteadyEntry) — clear it
   // unconditionally BEFORE anything else so no later step can walk stale
@@ -1123,6 +1134,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
   // positional cache patch; the incremental solver survives untouched.
   for (auto& ls : live_sessions_) {
     ls.session->apply_delta(expected_.table(), delta);
+    solver_stats_stale_ = true;
   }
   if (!invalidate) {
     if (hooks_.on_delta) hooks_.on_delta(delta);
@@ -1154,6 +1166,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
     // that no longer exists: stale, not failures.
     rule_floor_[cookie] = delta.epoch;
     if (cache_->entries.erase(cookie) > 0) {
+      ++cache_->version;
       ++stats_.probe_invalidations;
       // A deleted rule (or the displaced version of a replace) needs no
       // refill; everything else steady-state probing will want again soon.
@@ -1384,12 +1397,13 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
       // eating probes), not the rule misbehaving.
       runtime_->cancel(s->second.timer);
       suspects_.erase(s);
+      ++checkpoint_version_;
       ++stats_.flap_suppressions;
-      rule_states_[cookie] = RuleState::kConfirmed;
+      set_rule_state(cookie, RuleState::kConfirmed);
       note_verdict(cookie, RuleState::kConfirmed);
     }
     if (failed_.erase(cookie) > 0) {
-      rule_states_[cookie] = RuleState::kConfirmed;
+      set_rule_state(cookie, RuleState::kConfirmed);
       note_verdict(cookie, RuleState::kConfirmed);
     }
   } else if (verdict == Verdict::kAbsent) {
@@ -1622,12 +1636,13 @@ void Monitor::on_steady_timeout(std::uint32_t nonce) {
     if (const auto s = suspects_.find(op.cookie); s != suspects_.end()) {
       runtime_->cancel(s->second.timer);
       suspects_.erase(s);
+      ++checkpoint_version_;
       ++stats_.flap_suppressions;
-      rule_states_[op.cookie] = RuleState::kConfirmed;
+      set_rule_state(op.cookie, RuleState::kConfirmed);
       note_verdict(op.cookie, RuleState::kConfirmed);
     }
     if (failed_.erase(op.cookie) > 0) {
-      rule_states_[op.cookie] = RuleState::kConfirmed;
+      set_rule_state(op.cookie, RuleState::kConfirmed);
       note_verdict(op.cookie, RuleState::kConfirmed);
     }
     return;
@@ -1670,11 +1685,12 @@ void Monitor::raise_suspect(std::uint64_t cookie) {
   if (failed_.contains(cookie)) return;  // verdict already published
   const auto [it, fresh] = suspects_.try_emplace(cookie);
   if (!fresh) return;  // already under confirmation
+  ++checkpoint_version_;
   // Sibling nonces of the same loss episode must not double as strikes:
   // from here on only the serial confirmation probes speak for this rule.
   purge_outstanding_for(cookie);
   ++stats_.suspects_raised;
-  rule_states_[cookie] = RuleState::kSuspect;  // steady cycle skips it
+  set_rule_state(cookie, RuleState::kSuspect);  // steady cycle skips it
   note_verdict(cookie, RuleState::kSuspect);
   SuspectEntry& s = it->second;
   s.probes_left = config_.confirm_probes;
@@ -1696,6 +1712,7 @@ void Monitor::schedule_suspect_probe(std::uint64_t cookie) {
   });
   s.backoff = static_cast<SimTime>(static_cast<double>(s.backoff) *
                                    config_.confirm_backoff_factor);
+  ++checkpoint_version_;
 }
 
 void Monitor::inject_suspect_probe(std::uint64_t cookie) {
@@ -1708,6 +1725,7 @@ void Monitor::inject_suspect_probe(std::uint64_t cookie) {
   }
   SuspectEntry& s = it->second;
   --s.probes_left;
+  ++checkpoint_version_;
   ProbeCache::Entry* entry = probe_entry_for(*rule);
   if (entry == nullptr) {  // became unmonitorable: no probe, no verdict
     drop_suspect(cookie);
@@ -1739,6 +1757,7 @@ void Monitor::suspect_strike(std::uint64_t cookie) {
   if (it == suspects_.end()) return;
   SuspectEntry& s = it->second;
   ++s.strikes;
+  ++checkpoint_version_;
   if (s.strikes >= config_.confirm_failures) {
     runtime_->cancel(s.timer);
     suspects_.erase(it);
@@ -1752,7 +1771,7 @@ void Monitor::suspect_strike(std::uint64_t cookie) {
     runtime_->cancel(s.timer);
     suspects_.erase(it);
     ++stats_.flap_suppressions;
-    rule_states_[cookie] = RuleState::kConfirmed;
+    set_rule_state(cookie, RuleState::kConfirmed);
     note_verdict(cookie, RuleState::kConfirmed);
     return;
   }
@@ -1764,6 +1783,7 @@ void Monitor::drop_suspect(std::uint64_t cookie) {
   if (it == suspects_.end()) return;
   runtime_->cancel(it->second.timer);
   suspects_.erase(it);
+  ++checkpoint_version_;
   const auto st = rule_states_.find(cookie);
   if (st != rule_states_.end() && st->second == RuleState::kSuspect) {
     st->second = RuleState::kConfirmed;  // unknown-not-failed; cycle resumes
@@ -1774,9 +1794,20 @@ void Monitor::note_verdict(std::uint64_t cookie, RuleState state) {
   if (hooks_.on_verdict) hooks_.on_verdict(cookie, state, expected_.epoch());
 }
 
+void Monitor::set_rule_state(std::uint64_t cookie, RuleState state) {
+  const auto [it, fresh] = rule_states_.try_emplace(cookie, state);
+  if (!fresh && it->second == state) return;
+  it->second = state;
+  ++checkpoint_version_;
+}
+
+void Monitor::erase_rule_state(std::uint64_t cookie) {
+  if (rule_states_.erase(cookie) > 0) ++checkpoint_version_;
+}
+
 void Monitor::mark_rule_failed(std::uint64_t cookie) {
   if (!failed_.insert(cookie).second) return;  // already failed
-  rule_states_[cookie] = RuleState::kFailed;
+  set_rule_state(cookie, RuleState::kFailed);
   note_verdict(cookie, RuleState::kFailed);
   if (failed_.size() >= config_.alarm_threshold && hooks_.on_alarm) {
     ++stats_.alarms;
@@ -1823,6 +1854,8 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
     const Checkpoint& cp,
     const std::unordered_set<std::uint64_t>* stale_cookies) {
   RestoreStats rs;
+  ++checkpoint_version_;
+  ++cache_->version;  // manifest re-admission below
   // Epoch fast-forward + generation bump: the restored incarnation resumes
   // the snapshot's epoch domain, then advances one barrier epoch PAST it —
   // every probe the dead incarnation left in flight carries epoch <=
@@ -1840,16 +1873,16 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
       case RuleState::kSuspect:
         // Re-entered below only if its suspect entry also survived; a bare
         // suspect verdict without machine state restarts as unknown.
-        rule_states_[v.cookie] = RuleState::kConfirmed;
+        set_rule_state(v.cookie, RuleState::kConfirmed);
         break;
       case RuleState::kFailed:
         // Silent seeding — no note_verdict, no alarm: this verdict was
         // published by the pre-crash incarnation.
-        rule_states_[v.cookie] = RuleState::kFailed;
+        set_rule_state(v.cookie, RuleState::kFailed);
         failed_.insert(v.cookie);
         break;
       default:
-        rule_states_[v.cookie] = v.state;
+        set_rule_state(v.cookie, v.state);
         break;
     }
     ++rs.verdicts;
@@ -1871,7 +1904,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
     it->second.strikes = static_cast<int>(s.strikes);
     it->second.backoff = std::max<SimTime>(s.backoff, config_.confirm_backoff);
     it->second.since = s.since;
-    rule_states_[s.cookie] = RuleState::kSuspect;
+    set_rule_state(s.cookie, RuleState::kSuspect);
     schedule_suspect_probe(s.cookie);
     ++rs.suspects;
   }
@@ -1916,17 +1949,17 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
 void Monitor::seed_verdict(std::uint64_t cookie, RuleState state) {
   switch (state) {
     case RuleState::kFailed:
-      rule_states_[cookie] = RuleState::kFailed;
+      set_rule_state(cookie, RuleState::kFailed);
       failed_.insert(cookie);
       break;
     case RuleState::kSuspect:
       // Counters died with the crash: unknown, re-judged by the cycle.
-      rule_states_[cookie] = RuleState::kConfirmed;
+      set_rule_state(cookie, RuleState::kConfirmed);
       break;
     case RuleState::kPending:
       break;  // in-flight update: the re-issued FlowMod re-creates it
     default:
-      rule_states_[cookie] = state;
+      set_rule_state(cookie, state);
       failed_.erase(cookie);
       break;
   }
@@ -1940,8 +1973,11 @@ void Monitor::reset_for_recovery() {
   failed_.clear();
   rule_floor_.clear();
   epoch_floor_ = 0;
+  ++checkpoint_version_;
   live_sessions_.clear();
+  solver_stats_stale_ = true;
   cache_->entries.clear();
+  ++cache_->version;
   steady_order_.clear();
   steady_pos_ = 0;
   wheel_built_ = false;

@@ -85,6 +85,11 @@ struct ProbeCache {
     netbase::ProbeWire wire;
   };
   std::unordered_map<std::uint64_t, Entry> entries;
+  /// Bumped on every insert or erase of `entries` and every change to an
+  /// entry's probe, failure or epoch (not its wire frame).  It lives here,
+  /// not on the Monitor, because caches can be shared: a change made
+  /// through one Monitor must show in every sharer's checkpoint_version().
+  std::uint64_t version = 0;
 };
 
 /// Aggregate Monitor statistics.
@@ -126,8 +131,9 @@ struct MonitorStats {
   // Solver/session health (PR 9): sat::SolverStats sweep counters
   // aggregated across the shard's live batch sessions plus everything
   // absorbed from sessions retired by background rebuilds.  Refreshed by
-  // refresh_solver_stats() (publish_telemetry does it per round) so benches
-  // and fig10/fig14 report solver health without poking sessions directly.
+  // refresh_solver_stats() (publish_telemetry does it whenever a live
+  // session moved since the last refresh) so benches and fig10/fig14 report
+  // solver health without poking sessions directly.
   std::uint64_t solver_sweeps = 0;           ///< simplify() arena sweeps
   std::uint64_t solver_retired_clauses = 0;  ///< clauses reclaimed by sweeps
   std::uint64_t solver_retired_words = 0;    ///< arena words reclaimed
@@ -348,6 +354,8 @@ class Monitor {
   /// Shares a probe cache across monitors/trials.  Clears the steady cycle:
   /// its slots cache Entry* into the outgoing cache's map.
   void set_probe_cache(std::shared_ptr<ProbeCache> cache) {
+    // Keeps checkpoint_version() strictly increasing across the swap.
+    checkpoint_version_ += cache_->version + 1;
     cache_ = std::move(cache);
     steady_order_.clear();
     steady_pos_ = 0;
@@ -461,6 +469,15 @@ class Monitor {
   /// carry (0 when budgets are static).
   void encode_checkpoint(std::vector<std::uint8_t>& out,
                          std::uint64_t budget) const;
+  /// Changes whenever a field encode_checkpoint() writes changes: verdicts
+  /// (any insert, erase or transition of the state map), floors, suspect
+  /// machine, epoch and channel floor, and probe-cache entries.  Its `when`
+  /// stamp and the caller's `budget` are not covered.  Two encodes at one
+  /// version write the same bytes apart from `when`, so a writer that
+  /// remembers the version it stored can skip an unchanged shard.
+  [[nodiscard]] std::uint64_t checkpoint_version() const {
+    return checkpoint_version_ + cache_->version;
+  }
 
   struct RestoreStats {
     std::size_t verdicts = 0;          ///< rule states seeded (silently)
@@ -503,6 +520,13 @@ class Monitor {
   /// which a shard crash does not erase.  Cumulative stats are kept
   /// (monotone across incarnations).
   void reset_for_recovery();
+
+  /// Issue-to-confirm latency of the last confirmed update — the value
+  /// MonitorStats' confirm-latency histogram took.  Valid inside
+  /// Hooks::on_update_confirmed, which carries the confirm time instead.
+  [[nodiscard]] netbase::SimTime last_confirm_latency() const {
+    return last_confirm_latency_;
+  }
 
   /// Monotone count of externally paced bursts this Monitor has run — the
   /// per-round heartbeat Fleet::Supervisor watches: a scheduled shard whose
@@ -623,6 +647,11 @@ class Monitor {
   // the Monitor stops.
   /// Notifies hooks_.on_verdict of a rule-state transition (telemetry).
   void note_verdict(std::uint64_t cookie, RuleState state);
+  /// The only writers of rule_states_: both advance checkpoint_version_
+  /// when the map changes (an insert can rehash, which reorders the
+  /// snapshot's verdict section even for an infrastructure cookie).
+  void set_rule_state(std::uint64_t cookie, RuleState state);
+  void erase_rule_state(std::uint64_t cookie);
   void raise_suspect(std::uint64_t cookie);
   void schedule_suspect_probe(std::uint64_t cookie);
   void inject_suspect_probe(std::uint64_t cookie);
@@ -716,6 +745,9 @@ class Monitor {
     std::uint64_t timer = 0;       // pending confirmation injection
   };
   std::unordered_map<std::uint64_t, SuspectEntry> suspects_;  // by cookie
+  /// See checkpoint_version(): every write to the checkpointed fields
+  /// above bumps this (the probe cache carries its own counter).
+  std::uint64_t checkpoint_version_ = 0;
 
   std::unordered_map<std::uint64_t, UpdateJob> updates_;  // by cookie
   std::deque<std::pair<openflow::Message, std::uint32_t>> hold_queue_;
@@ -773,6 +805,11 @@ class Monitor {
   std::uint64_t retired_session_clauses_ = 0;
   std::uint64_t retired_session_words_ = 0;
   [[nodiscard]] bool session_dominated(const ProbeBatchSession& s) const;
+  /// Set when a live session ran a query, applied a delta, or was created,
+  /// rebuilt or dropped: the only events that move its solver counters.
+  /// publish_telemetry refreshes the solver series only then.
+  bool solver_stats_stale_ = true;
+  netbase::SimTime last_confirm_latency_ = 0;
 
   /// Scratch frame buffer for per-call crafting on the fast path (update
   /// probes, whose altered-table packets are not cache entries).

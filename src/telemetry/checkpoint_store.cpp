@@ -126,10 +126,12 @@ void CheckpointStore::recover_locked() {
   const std::vector<std::uint64_t> indices = segment_indices_locked();
   std::uint64_t recovered = 0;
   std::uint64_t max_seq = 0;
-  const auto count = [&](std::uint64_t, std::uint64_t seq,
+  const auto count = [&](std::uint64_t key, std::uint64_t seq,
                          std::vector<std::uint8_t>&&) {
     ++recovered;
     max_seq = std::max(max_seq, seq);
+    std::uint64_t& latest = latest_seq_[key];
+    latest = std::max(latest, seq);
   };
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const std::string path = segment_path(indices[i]);
@@ -179,10 +181,48 @@ void CheckpointStore::enforce_disk_bound_locked() {
     if (index == active_index_) break;  // never the active segment
     const std::string path = segment_path(index);
     const auto size = static_cast<std::size_t>(fs::file_size(path, ec));
+    // Carry forward: a record that is still the latest for its key is
+    // re-appended (same key, seq and payload) to the active segment before
+    // its segment goes, so the latest snapshot of every key survives any
+    // number of rotations.  A crash in between leaves two identical
+    // copies, never none.
+    const std::size_t before = active_bytes_;
+    bool carried_all = true;
+    scan_segment(path, [&](std::uint64_t key, std::uint64_t seq,
+                           std::vector<std::uint8_t>&& payload) {
+      const auto it = latest_seq_.find(key);
+      if (it == latest_seq_.end() || it->second != seq) return;
+      if (write_frame_locked(key, seq, payload)) {
+        ++carried_;
+      } else {
+        carried_all = false;
+      }
+    });
+    if (!carried_all) break;  // keep the segment rather than lose a latest
     fs::remove(path, ec);
-    total -= size;
+    total = total - size + (active_bytes_ - before);
     ++segments_deleted_;
   }
+}
+
+bool CheckpointStore::write_frame_locked(
+    std::uint64_t key, std::uint64_t seq,
+    std::span<const std::uint8_t> payload) {
+  if (active_ == nullptr) return false;
+  FrameHeader hdr;
+  hdr.key = key;
+  hdr.seq = seq;
+  hdr.len = static_cast<std::uint32_t>(payload.size());
+  hdr.crc = frame_crc(hdr, payload);
+  if (std::fwrite(&hdr, sizeof(hdr), 1, active_) != 1) return false;
+  if (!payload.empty() &&
+      std::fwrite(payload.data(), 1, payload.size(), active_) !=
+          payload.size()) {
+    return false;
+  }
+  active_bytes_ += sizeof(hdr) + payload.size();
+  std::fflush(active_);
+  return true;
 }
 
 std::uint64_t CheckpointStore::append(std::uint64_t key,
@@ -198,22 +238,7 @@ std::uint64_t CheckpointStore::append(std::uint64_t key,
   }
   if (active_ == nullptr) return seq;  // directory unusable: drop silently
   if (active_bytes_ >= opts_.segment_bytes) open_next_segment_locked();
-  FrameHeader hdr;
-  hdr.key = key;
-  hdr.seq = seq;
-  hdr.len = static_cast<std::uint32_t>(payload.size());
-  hdr.crc = frame_crc(hdr, payload);
-  if (std::fwrite(&hdr, sizeof(hdr), 1, active_) == 1) {
-    bool ok = true;
-    if (!payload.empty()) {
-      ok = std::fwrite(payload.data(), 1, payload.size(), active_) ==
-           payload.size();
-    }
-    if (ok) {
-      active_bytes_ += sizeof(hdr) + payload.size();
-      std::fflush(active_);
-    }
-  }
+  if (write_frame_locked(key, seq, payload)) latest_seq_[key] = seq;
   return seq;
 }
 
@@ -256,6 +281,11 @@ std::uint64_t CheckpointStore::appended() const {
 std::uint64_t CheckpointStore::segments_deleted() const {
   std::lock_guard lock(mu_);
   return segments_deleted_;
+}
+
+std::uint64_t CheckpointStore::records_carried() const {
+  std::lock_guard lock(mu_);
+  return carried_;
 }
 
 std::vector<std::string> CheckpointStore::segment_files() const {

@@ -8,7 +8,9 @@
 // segments rotate at segment_bytes and the oldest whole segments are deleted
 // past max_total_bytes.  A crash mid-append leaves a torn tail that load
 // simply stops at — the previous complete snapshot of every shard survives
-// by construction, because records are only ever appended.
+// by construction, because records are only ever appended, and a segment is
+// deleted only after every record in it that is still the latest for its
+// key was carried forward into the active segment.
 //
 // The store is content-agnostic (payloads are bytes; the monocle layer owns
 // the Checkpoint encoding in monocle/checkpoint.hpp) so the dependency
@@ -42,9 +44,12 @@ class CheckpointStore {
     std::string dir;
     /// Rotate to a new segment once the active one reaches this size.
     std::size_t segment_bytes = 256 * 1024;
-    /// Delete oldest whole segments once the directory exceeds this.  Keep
-    /// it several full-fleet checkpoint sweeps wide: a deleted segment takes
-    /// every snapshot it holds with it.
+    /// Delete oldest whole segments once the directory exceeds this.  The
+    /// latest record of every key is carried forward before its segment is
+    /// deleted, so only superseded records are ever lost.  The bound is
+    /// soft: the directory cannot shrink below one latest record per key
+    /// plus the active segment, and when that live set nears this size
+    /// every rotation re-copies it — keep it a few live sets wide.
     std::size_t max_total_bytes = 8 * 1024 * 1024;
   };
 
@@ -81,6 +86,8 @@ class CheckpointStore {
   }
   /// Whole segments deleted by the disk bound so far.
   [[nodiscard]] std::uint64_t segments_deleted() const;
+  /// Latest-per-key records re-appended ahead of a segment deletion.
+  [[nodiscard]] std::uint64_t records_carried() const;
   /// Current segment files, oldest first (empty in memory mode).
   [[nodiscard]] std::vector<std::string> segment_files() const;
   /// Total bytes across current segment files (0 in memory mode).
@@ -96,6 +103,10 @@ class CheckpointStore {
 
   void open_next_segment_locked();
   void enforce_disk_bound_locked();
+  /// Appends one framed record to the active segment; false on a short
+  /// write.
+  bool write_frame_locked(std::uint64_t key, std::uint64_t seq,
+                          std::span<const std::uint8_t> payload);
   void recover_locked();
   /// Scans `path`, forwarding each valid (key, seq, payload) to `fn`.
   /// Returns the byte offset just past the last valid record.
@@ -116,7 +127,11 @@ class CheckpointStore {
   std::uint64_t recovered_ = 0;
   std::uint64_t truncated_bytes_ = 0;
   std::uint64_t segments_deleted_ = 0;
+  std::uint64_t carried_ = 0;
   std::uint64_t next_seq_ = 1;
+  /// Disk mode: seq of the latest record written per key (what a segment
+  /// deletion must carry forward).
+  std::map<std::uint64_t, std::uint64_t> latest_seq_;
   // Memory mode: latest (seq, blob) per key.
   std::map<std::uint64_t, std::pair<std::uint64_t, std::vector<std::uint8_t>>>
       memory_;

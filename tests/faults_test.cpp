@@ -1,12 +1,22 @@
-// Robustness suite (ISSUE 6): the fault-injection layer, the K-of-N
+// Robustness suite: the fault-injection layer, the K-of-N
 // suspect/confirmation machine, the evidence accumulator, churn exclusion,
-// and fleet localization under delayed/reordered PacketIns and active
-// churn.
+// fleet localization under delayed/reordered PacketIns and active churn,
+// and the parity of the failing-shards-only localization pass against a
+// full walk of every report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <tuple>
 #include <unordered_set>
+#include <utility>
 #include <vector>
+
+#include "channel/static_view.hpp"
 
 #include "monocle/evidence.hpp"
 #include "monocle/fleet.hpp"
@@ -490,6 +500,373 @@ TEST(FleetRobust, ChurningRulesNeverEnterTheDiagnosis) {
   }
   EXPECT_TRUE(link_seen);
   EXPECT_GT(rig.bed->fleet()->stats().evidence_passes, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Localization parity: failing shards only vs a full walk
+// ---------------------------------------------------------------------------
+
+/// The test-only full walk: localize_network as it was before healthy
+/// reports were skipped — every report's table walked, every reporting
+/// switch collected in one set.  The production pass must match it
+/// exactly, element for element and in order.
+NetworkDiagnosis full_walk_localize(std::span<const SwitchFailureReport> reports,
+                                    const NetworkView& view,
+                                    const NetworkLocalizerOptions& options) {
+  NetworkDiagnosis out;
+  using LinkKey = std::tuple<SwitchId, std::uint16_t, SwitchId, std::uint16_t>;
+  std::map<LinkKey, LinkDiagnosis> links;
+  std::unordered_set<SwitchId> reporting;
+  for (const SwitchFailureReport& rep : reports) {
+    if (rep.expected == nullptr || rep.failed == nullptr) continue;
+    reporting.insert(rep.sw);
+    const Diagnosis local = localize_failures(*rep.expected, *rep.failed,
+                                              options.per_switch, rep.excluded);
+    for (const LinkSuspect& suspect : local.failed_links) {
+      SwitchId a = rep.sw;
+      std::uint16_t port_a = suspect.port;
+      SwitchId b = 0;
+      std::uint16_t port_b = 0;
+      if (const auto peer = view.peer(rep.sw, suspect.port)) {
+        b = peer->sw;
+        port_b = peer->port;
+      }
+      const bool flip = b != 0 && b < a;
+      const LinkKey key = flip ? LinkKey{b, port_b, a, port_a}
+                               : LinkKey{a, port_a, b, port_b};
+      auto [it, inserted] = links.try_emplace(key);
+      LinkDiagnosis& link = it->second;
+      if (inserted) {
+        std::tie(link.a, link.port_a, link.b, link.port_b) = key;
+      } else {
+        link.corroborated = true;
+      }
+      (rep.sw == link.a ? link.reported_a : link.reported_b) = true;
+      link.failed_rules += suspect.failed_rules;
+      link.fraction = std::max(link.fraction, suspect.fraction());
+    }
+    for (const std::uint64_t cookie : local.isolated_rules) {
+      out.isolated.push_back({rep.sw, cookie});
+    }
+  }
+  for (auto& [key, link] : links) {
+    link.peer_monitored = link.b != 0 && reporting.contains(link.a) &&
+                          reporting.contains(link.b);
+  }
+  struct PerSwitch {
+    std::size_t suspect_links = 0;
+    std::size_t failed_rules = 0;
+  };
+  std::map<SwitchId, PerSwitch> by_switch;
+  for (const auto& [key, link] : links) {
+    if (link.b == 0) continue;
+    if (options.contamination_filter && !link.corroborated &&
+        link.peer_monitored) {
+      continue;
+    }
+    for (const SwitchId end : {link.a, link.b}) {
+      by_switch[end].suspect_links += 1;
+      by_switch[end].failed_rules += link.failed_rules;
+    }
+  }
+  std::unordered_set<SwitchId> blamed;
+  for (const auto& [sw, acc] : by_switch) {
+    if (acc.suspect_links < options.min_suspect_links) continue;
+    std::size_t total_links = 0;
+    for (const std::uint16_t port : view.ports(sw)) {
+      if (view.peer(sw, port).has_value()) ++total_links;
+    }
+    if (total_links == 0) continue;
+    if (static_cast<double>(acc.suspect_links) /
+            static_cast<double>(total_links) <
+        options.switch_threshold) {
+      continue;
+    }
+    blamed.insert(sw);
+    out.switches.push_back({sw, acc.suspect_links, total_links,
+                            acc.failed_rules});
+  }
+  std::sort(out.switches.begin(), out.switches.end(),
+            [](const SwitchSuspect& x, const SwitchSuspect& y) {
+              return x.suspect_links > y.suspect_links;
+            });
+  for (const auto& [key, link] : links) {
+    if (blamed.contains(link.a) || (link.b != 0 && blamed.contains(link.b))) {
+      continue;
+    }
+    out.links.push_back(link);
+  }
+  std::sort(out.links.begin(), out.links.end(),
+            [](const LinkDiagnosis& x, const LinkDiagnosis& y) {
+              if (x.corroborated != y.corroborated) return x.corroborated;
+              return x.fraction > y.fraction;
+            });
+  if (options.contamination_filter && (!links.empty() || !blamed.empty())) {
+    std::erase_if(out.isolated, [&](const IsolatedRuleFault& fault) {
+      if (blamed.contains(fault.sw)) return true;
+      for (const auto& [key, link] : links) {
+        if (fault.sw == link.a || (link.b != 0 && fault.sw == link.b)) {
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+  std::sort(out.isolated.begin(), out.isolated.end(),
+            [](const IsolatedRuleFault& x, const IsolatedRuleFault& y) {
+              return x.sw != y.sw ? x.sw < y.sw : x.cookie < y.cookie;
+            });
+  return out;
+}
+
+/// Element-for-element, order-sensitive equality of two diagnoses.
+void expect_same_diagnosis(const NetworkDiagnosis& got,
+                           const NetworkDiagnosis& want,
+                           const std::string& where) {
+  ASSERT_EQ(got.links.size(), want.links.size()) << where;
+  for (std::size_t i = 0; i < got.links.size(); ++i) {
+    const LinkDiagnosis& g = got.links[i];
+    const LinkDiagnosis& w = want.links[i];
+    EXPECT_EQ(std::tie(g.a, g.port_a, g.b, g.port_b, g.corroborated,
+                       g.reported_a, g.reported_b, g.peer_monitored,
+                       g.failed_rules, g.fraction),
+              std::tie(w.a, w.port_a, w.b, w.port_b, w.corroborated,
+                       w.reported_a, w.reported_b, w.peer_monitored,
+                       w.failed_rules, w.fraction))
+        << where << " link " << i;
+  }
+  ASSERT_EQ(got.switches.size(), want.switches.size()) << where;
+  for (std::size_t i = 0; i < got.switches.size(); ++i) {
+    const SwitchSuspect& g = got.switches[i];
+    const SwitchSuspect& w = want.switches[i];
+    EXPECT_EQ(std::tie(g.sw, g.suspect_links, g.total_links, g.failed_rules),
+              std::tie(w.sw, w.suspect_links, w.total_links, w.failed_rules))
+        << where << " switch " << i;
+  }
+  ASSERT_EQ(got.isolated.size(), want.isolated.size()) << where;
+  for (std::size_t i = 0; i < got.isolated.size(); ++i) {
+    EXPECT_EQ(std::tie(got.isolated[i].sw, got.isolated[i].cookie),
+              std::tie(want.isolated[i].sw, want.isolated[i].cookie))
+        << where << " isolated " << i;
+  }
+}
+
+TEST(LocalizerParity, RandomFailedAndExcludedSetsMatchFullWalk) {
+  // A 4x4 grid fabric, each switch with its link ports plus one host port;
+  // tables spread 4-10 rules per port so whole egress groups can fail.
+  constexpr SwitchId kSide = 4;
+  channel::StaticNetworkView view;
+  std::map<SwitchId, std::uint16_t> next_port;
+  const auto sw_at = [](SwitchId r, SwitchId c) { return r * kSide + c + 1; };
+  for (SwitchId r = 0; r < kSide; ++r) {
+    for (SwitchId c = 0; c < kSide; ++c) {
+      const SwitchId a = sw_at(r, c);
+      if (c + 1 < kSide) {
+        const SwitchId b = sw_at(r, c + 1);
+        view.add_link(a, ++next_port[a], b, ++next_port[b]);
+      }
+      if (r + 1 < kSide) {
+        const SwitchId b = sw_at(r + 1, c);
+        view.add_link(a, ++next_port[a], b, ++next_port[b]);
+      }
+    }
+  }
+  std::mt19937_64 rng(0x10CA112E);
+  std::map<SwitchId, FlowTable> tables;
+  std::uint64_t cookie = 1000;
+  for (auto& [sw, last] : next_port) {
+    view.add_port(sw, ++last);  // host-facing
+    FlowTable t;
+    for (std::uint16_t port = 1; port <= last; ++port) {
+      const FlowTable group =
+          table_toward_port(port, cookie, 4 + rng() % 7);
+      for (const Rule& r : group.rules()) t.add(r);
+      cookie += 100;
+    }
+    tables.emplace(sw, std::move(t));
+  }
+
+  std::size_t non_healthy = 0;
+  std::size_t link_or_switch = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    NetworkLocalizerOptions options;
+    switch (trial % 4) {
+      case 0: break;  // the single-pass defaults
+      case 1: options = evidence_default_localizer(); break;
+      case 2:  // both thresholds 0: healthy reports DO name suspects
+        options.per_switch.link_threshold = 0.0;
+        options.per_switch.min_failed_rules = 0;
+        options.contamination_filter = (trial / 4) % 2 == 0;
+        break;
+      default:
+        options.per_switch.link_threshold = (trial / 4) % 2 ? 0.0 : 0.6;
+        options.per_switch.min_failed_rules = (trial / 4) % 3;
+        options.switch_threshold = 0.5;
+        options.min_suspect_links = 2;
+        options.contamination_filter = trial % 3 == 0;
+        break;
+    }
+    std::map<SwitchId, std::unordered_set<std::uint64_t>> failed;
+    std::map<SwitchId, std::unordered_set<std::uint64_t>> excluded;
+    std::vector<SwitchFailureReport> reports;
+    for (const auto& [sw, table] : tables) {
+      const int pick = static_cast<int>(rng() % 10);
+      if (pick == 0) continue;  // unmonitored switch: no report at all
+      auto& f = failed[sw];
+      auto& x = excluded[sw];
+      if (pick >= 6) {  // ~40% of switches have failures
+        const std::uint16_t dead_port =
+            static_cast<std::uint16_t>(1 + rng() % next_port[sw]);
+        for (const Rule& r : table.rules()) {
+          const auto ports = r.outcome().forwarding_set();
+          const bool on_dead =
+              std::find(ports.begin(), ports.end(), dead_port) != ports.end();
+          if ((on_dead && rng() % 10 < 8) || rng() % 12 == 0) {
+            f.insert(r.cookie);
+          }
+        }
+      }
+      for (const Rule& r : table.rules()) {
+        if (rng() % 15 == 0) x.insert(r.cookie);
+      }
+      SwitchFailureReport rep{sw, &table, &f, x.empty() ? nullptr : &x};
+      if (rng() % 40 == 0) rep.failed = nullptr;  // malformed: ignored
+      reports.push_back(rep);
+    }
+    std::shuffle(reports.begin(), reports.end(), rng);
+    const NetworkDiagnosis want = full_walk_localize(reports, view, options);
+    const NetworkDiagnosis got = localize_network(reports, view, options);
+    expect_same_diagnosis(got, want, "trial " + std::to_string(trial));
+    if (!want.healthy()) ++non_healthy;
+    if (!want.links.empty() || !want.switches.empty()) ++link_or_switch;
+  }
+  // Not vacuous: most trials diagnose something, many above rule level.
+  EXPECT_GT(non_healthy, 300u);
+  EXPECT_GT(link_or_switch, 100u);
+}
+
+/// FleetFaultRig plus the test's own copy of the churn-exclusion window
+/// (every shard's delta stream, observed through an outer on_delta hook),
+/// so the full walk can be fed exactly the exclusions Fleet::diagnose()
+/// derives.
+struct DiagnoseParityRig {
+  EventQueue eq;
+  FaultPlan plan;
+  std::unique_ptr<Testbed> bed;
+  std::map<SwitchId, std::deque<std::pair<std::uint64_t, SimTime>>> deltas;
+  static constexpr SimTime kChurnExclusion = 500 * kMillisecond;
+
+  explicit DiagnoseParityRig(std::uint64_t seed) : plan(seed) {
+    Testbed::Options opts;
+    opts.use_fleet = true;
+    opts.monitor.probe_timeout = 150 * kMillisecond;
+    opts.monitor.probe_retries = 3;
+    opts.monitor.generation_delay = 1 * kMillisecond;
+    opts.monitor.confirm_probes = 3;
+    opts.monitor.confirm_failures = 2;
+    opts.fleet.round_interval = 5 * kMillisecond;
+    opts.fleet.probes_per_switch = 16;
+    opts.fleet.localize_debounce = 100 * kMillisecond;
+    opts.fleet.evidence_localization = true;
+    opts.fleet.evidence_interval = 100 * kMillisecond;
+    opts.fleet.churn_exclusion = kChurnExclusion;
+    bed = std::make_unique<Testbed>(&eq, topo::make_grid(3, 3),
+                                    SwitchModel::ideal(), opts);
+    bed->network().set_fault_plan(&plan);
+    for (topo::NodeId n = 0; n < 9; ++n) {
+      const SwitchId sw = bed->dpid_of(n);
+      Monitor::Hooks& hooks = bed->monitor(sw)->hooks_for_test();
+      auto prev = std::move(hooks.on_delta);
+      hooks.on_delta = [this, sw, prev = std::move(prev)](
+                           const openflow::TableDelta& d) {
+        for (const std::uint64_t c : d.affected_cookies()) {
+          deltas[sw].emplace_back(c, eq.now());
+        }
+        if (prev) prev(d);
+      };
+      for (const Rule& r :
+           workloads::l3_host_routes_even(24, bed->network().ports(sw))) {
+        bed->monitor(sw)->seed_rule(r);
+        bed->sw(sw)->mutable_dataplane().add(r);
+      }
+    }
+    bed->start_monitoring();
+  }
+
+  /// Fleet::diagnose() against the full walk over every shard, each with
+  /// its complete exclusion set (failing or not).  Returns whether the
+  /// diagnosis named anything.
+  bool check(const std::string& where) {
+    const Fleet& fleet = *bed->fleet();
+    std::vector<std::unordered_set<std::uint64_t>> excl;
+    excl.reserve(fleet.shards().size());
+    std::vector<SwitchFailureReport> reports;
+    for (const auto& [sw, mon] : fleet.shards()) {
+      auto& x = excl.emplace_back();
+      for (const std::uint64_t c : mon->pending_update_cookies()) x.insert(c);
+      for (const auto& [c, when] : deltas[sw]) {
+        if (when + kChurnExclusion > eq.now()) x.insert(c);
+      }
+      reports.push_back({sw, &mon->expected_table(), &mon->failed_rules(),
+                         x.empty() ? nullptr : &x});
+    }
+    const NetworkDiagnosis want =
+        full_walk_localize(reports, bed->network(), NetworkLocalizerOptions{});
+    const NetworkDiagnosis got = fleet.diagnose();
+    expect_same_diagnosis(got, want, where);
+    return !want.healthy();
+  }
+};
+
+TEST(LocalizerParity, FleetDiagnoseMatchesFullWalkOverTheZoo) {
+  std::vector<workloads::Scenario> zoo;
+  {
+    DiagnoseParityRig probe(1);
+    const SwitchId center = probe.bed->dpid_of(4);
+    const SwitchId east = probe.bed->dpid_of(5);
+    const auto port = [&](topo::NodeId a, topo::NodeId b) {
+      return probe.bed->topology_ports().of(a, b);
+    };
+    using workloads::ScenarioLibrary;
+    zoo.push_back(ScenarioLibrary::hard_link_failure(center, port(4, 5)));
+    zoo.push_back(ScenarioLibrary::gray_port(center, port(4, 1), 0.9));
+    zoo.push_back(ScenarioLibrary::flapping_link(
+        center, port(4, 3), 1 * kSecond, 850 * kMillisecond));
+    zoo.push_back(ScenarioLibrary::congestion(east, 0.2, 600 * kMillisecond));
+    zoo.push_back(ScenarioLibrary::delayed_packet_ins(center, 0,
+                                                      60 * kMillisecond));
+    zoo.push_back(ScenarioLibrary::brain_death(center));
+    zoo.push_back(
+        ScenarioLibrary::line_card(center, {port(4, 5), port(4, 7)}));
+  }
+  std::size_t named = 0;
+  for (std::size_t i = 0; i < zoo.size(); ++i) {
+    DiagnoseParityRig rig(0x200 + i);
+    // Churn on a corner switch throughout, so pending updates and the
+    // delta window feed the exclusions of shards that do fail.
+    workloads::ChurnProfile profile;
+    profile.seed = 11 + i;
+    profile.acl.rule_count = 0;
+    profile.acl.sites = 6;
+    profile.acl.ports = 4;
+    rig.bed->drive_churn(
+        rig.bed->dpid_of(0),
+        std::make_shared<workloads::ChurnGenerator>(profile,
+                                                    std::vector<Rule>{}),
+        5 * kMillisecond, 400);
+    rig.eq.run_until(1 * kSecond);
+    const SimTime t0 = rig.eq.now();
+    zoo[i].install(rig.bed->network(), rig.plan, t0);
+    for (SimTime t = t0; t <= t0 + 3 * kSecond; t += 50 * kMillisecond) {
+      rig.eq.run_until(t);
+      if (rig.check(zoo[i].name + " at +" +
+                    std::to_string((t - t0) / kMillisecond) + " ms")) {
+        ++named;
+      }
+    }
+  }
+  EXPECT_GT(named, 50u);  // the parity held while faults were being named
 }
 
 }  // namespace

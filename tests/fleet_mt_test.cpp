@@ -3,7 +3,9 @@
 // N-worker driver against the single-threaded baseline (classifications AND
 // localization verdicts byte-identical), cross-worker localization report
 // delivery through the Fleet mailbox, mid-round stress teardown, and the
-// Fleet::Stats consistent-snapshot regression.  This suite carries the
+// Fleet::Stats consistent-snapshot regression, changed-only checkpoint
+// parity (a skipped shard's stored snapshot equals a fresh encode) at 1 and
+// 2 workers, and the round plan's rebuilds.  This suite carries the
 // `tsan` ctest label: the CI ThreadSanitizer leg builds it with
 // -fsanitize=thread, so every cross-thread edge here is a checked claim.
 #include <gtest/gtest.h>
@@ -11,7 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "monocle/localizer.hpp"
 #include "monocle/multiplexer.hpp"
 #include "monocle/round_engine.hpp"
+#include "monocle/schedule.hpp"
 #include "telemetry/checkpoint_store.hpp"
 #include "topo/generators.hpp"
 #include "topo/topo_view.hpp"
@@ -186,6 +194,8 @@ class FleetMtRig {
   struct Extras {
     telemetry::CheckpointStore* checkpoints = nullptr;
     CrashPlan* crash_plan = nullptr;
+    /// Monitor::Config::confirm_probes (K-of-N suspect machine; 0 = off).
+    int confirm_probes = 0;
   };
 
   // Two overloads instead of `Extras extras = {}` (GCC 12 nested-class
@@ -210,6 +220,7 @@ class FleetMtRig {
     Fleet::Config config;
     config.monitor.probe_timeout = 20 * kMillisecond;
     config.monitor.probe_retries = 1;
+    config.monitor.confirm_probes = extras.confirm_probes;
     config.probes_per_switch = 3;
     config.localize_debounce = 50 * kMillisecond;
     config.on_diagnosis = [this](const NetworkDiagnosis& d) {
@@ -254,13 +265,7 @@ class FleetMtRig {
       const Monitor& mon = *fleet_->monitor(sw);
       for (const openflow::Rule& r : mon.expected_table().rules()) {
         if (mon.rule_state(r.cookie) != RuleState::kConfirmed) continue;
-        for (const auto& [port, rewrite] : r.outcome().emissions) {
-          const auto peer = view_.peer(sw, port);
-          if (!peer) break;
-          catch_points_[bench::FastPathRig::catch_key(sw, r.cookie)] =
-              bench::FastPathRig::CatchPoint{peer->sw, peer->port};
-          break;
-        }
+        add_catch_point(sw, r);
       }
     }
     // The Fleet only warms routes for the backend add_shard overload; the
@@ -293,7 +298,28 @@ class FleetMtRig {
     if (fleet_->worker_count() == 1) deliver_pending(*wk_[0]);
   }
 
+  /// Where the loopback delivers probes of `rule` (its first egress peer).
+  /// Between rounds only: workers read the map while a round runs.
+  void add_catch_point(SwitchId sw, const openflow::Rule& r) {
+    for (const auto& [port, rewrite] : r.outcome().emissions) {
+      const auto peer = view_.peer(sw, port);
+      if (!peer) break;
+      catch_points_[bench::FastPathRig::catch_key(sw, r.cookie)] =
+          bench::FastPathRig::CatchPoint{peer->sw, peer->port};
+      break;
+    }
+  }
+  /// Rule-level failure injection: probes of (sw, cookie) vanish.  Between
+  /// rounds only.
+  void fail_rule(SwitchId sw, std::uint64_t cookie) {
+    dropped_.insert(bench::FastPathRig::catch_key(sw, cookie));
+  }
+  void heal_rule(SwitchId sw, std::uint64_t cookie) {
+    dropped_.erase(bench::FastPathRig::catch_key(sw, cookie));
+  }
+
   [[nodiscard]] Fleet& fleet() { return *fleet_; }
+  [[nodiscard]] Multiplexer& mux() { return *mux_; }
   [[nodiscard]] const std::vector<NetworkDiagnosis>& diagnoses() const {
     return diagnoses_;
   }
@@ -356,8 +382,10 @@ class FleetMtRig {
         po.data.size() - static_cast<std::size_t>(at - po.data.begin())));
     if (!meta) return;
     if (dead_.count(meta->switch_id()) != 0) return;  // dead switch: vanish
-    const auto it = catch_points_.find(
-        bench::FastPathRig::catch_key(meta->switch_id(), meta->rule_cookie()));
+    const std::uint64_t key =
+        bench::FastPathRig::catch_key(meta->switch_id(), meta->rule_cookie());
+    if (dropped_.count(key) != 0) return;  // failed rule: vanish
+    const auto it = catch_points_.find(key);
     if (it == catch_points_.end()) return;
     if (wk.pending.size() <= wk.pending_used) {
       wk.pending.resize(wk.pending_used + 1);
@@ -382,6 +410,7 @@ class FleetMtRig {
 
   topo::TopoView view_;
   std::set<SwitchId> dead_;
+  std::set<std::uint64_t> dropped_;  // catch keys of failed rules
   CatchPlan plan_;
   std::unique_ptr<Multiplexer> mux_;
   bench::SlotRuntime orch_;
@@ -619,6 +648,263 @@ TEST(FleetMt, StressTeardownWithCheckpointWritesInFlight) {
       EXPECT_EQ(cp->shard, key);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Changed-only snapshots and the round plan
+// ---------------------------------------------------------------------------
+
+/// A snapshot payload with its `when` word (header word 2, which restore
+/// never reads) zeroed, so two encodes of one state compare equal.
+std::vector<std::uint8_t> without_when(std::vector<std::uint8_t> bytes) {
+  constexpr std::size_t kWhenAt = 2 * sizeof(std::uint64_t);
+  if (bytes.size() >= kWhenAt + sizeof(std::uint64_t)) {
+    std::memset(bytes.data() + kWhenAt, 0, sizeof(std::uint64_t));
+  }
+  return bytes;
+}
+
+struct SnapshotParityCounts {
+  std::size_t checked = 0;   // unchanged-version comparisons made
+  std::size_t written = 0;   // rounds whose visited shard was encoded
+  std::size_t skipped = 0;   // rounds whose visited shard was unchanged
+};
+
+/// Randomized churn (benign modifies and cookie rotations), rule faults
+/// and CrashPlan kills/wedges/tears with supervised restores.  Two checks:
+///  * after every round, each shard the writer would skip — its checkpoint
+///    version and budget equal those of its stored snapshot — must have
+///    that stored snapshot byte-equal (when aside) to a fresh encode;
+///  * after every round and every timer advance, each shard whose
+///    checkpoint_version() did not move since the previous check must
+///    encode the same bytes as then (the version contract itself, checked
+///    on every shard, not only the one the writer visits).
+SnapshotParityCounts run_snapshot_parity(std::size_t workers,
+                                         telemetry::CheckpointStore& store,
+                                         std::uint64_t seed) {
+  SnapshotParityCounts counts;
+  const auto topo = topo::make_rocketfuel_as(16, 21);
+  CrashPlan plan;
+  FleetMtRig rig(topo, workers, {}, {&store, &plan, /*confirm_probes=*/3});
+  Fleet& fleet = rig.fleet();
+  std::vector<SwitchId> ids;
+  for (const auto& [sw, mon] : fleet.shards()) ids.push_back(sw);
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](const auto& v) { return v[rng() % v.size()]; };
+  plan.kill_shard(pick(ids), 60);
+  plan.kill_shard(pick(ids), 150);
+  plan.wedge_shard(pick(ids), 200, 20);
+  plan.tear_channel(pick(ids), 250, 10);
+  // Two rotations long, so EVERY shard of worker 1 migrates: the rig's
+  // inject contexts are per worker, fixed at add_shard, and must not end up
+  // shared by two running workers.
+  if (workers > 1) plan.wedge_worker(1, 300, 40);
+  Fleet::SupervisorOptions sup;
+  sup.missed_rounds = 2;
+  sup.min_worker_shards_stuck = 1;
+  fleet.enable_supervision(sup);
+
+  std::uint64_t next_cookie = 0x7000'0000;
+  std::uint32_t xid = 1;
+  std::vector<std::pair<SwitchId, std::uint64_t>> failing;
+  std::vector<std::uint8_t> fresh;
+  std::map<SwitchId, std::pair<std::uint64_t, std::vector<std::uint8_t>>> seen;
+  const auto check_versions = [&](int round, const char* phase) {
+    for (const auto& [sw, mon] : fleet.shards()) {
+      mon->encode_checkpoint(fresh, 0);
+      fresh = without_when(std::move(fresh));
+      const std::uint64_t version = mon->checkpoint_version();
+      auto [it, first] = seen.try_emplace(sw, version, fresh);
+      if (!first && it->second.first == version) {
+        EXPECT_EQ(it->second.second, fresh)
+            << "shard " << sw << " changed at version " << version
+            << " by round " << round << " " << phase;
+        ++counts.checked;
+      }
+      it->second = {version, fresh};
+    }
+  };
+  for (int i = 0; i < 400; ++i) {
+    const SwitchId sw = pick(ids);
+    std::vector<openflow::Rule> rules;
+    for (const openflow::Rule& r : fleet.monitor(sw)->expected_table().rules()) {
+      if ((r.cookie >> 48) == 0) rules.push_back(r);  // not infrastructure
+    }
+    const int op = static_cast<int>(rng() % 20);
+    if (op < 6 && !rules.empty() && !fleet.shard_quarantined(sw)) {
+      const openflow::Rule r = pick(rules);
+      if (op < 2) {  // rotate: delete, re-add under a fresh cookie
+        openflow::FlowMod del;
+        del.match = r.match;
+        del.cookie = r.cookie;
+        del.priority = r.priority;
+        del.command = openflow::FlowModCommand::kDeleteStrict;
+        fleet.route_flow_mod(sw, del, xid++);
+        openflow::FlowMod add = del;
+        add.command = openflow::FlowModCommand::kAdd;
+        add.cookie = next_cookie++;
+        add.actions = r.actions;
+        rig.add_catch_point(sw, add.rule());
+        fleet.route_flow_mod(sw, add, xid++);
+      } else {  // benign modify: same semantics, full confirm cost
+        openflow::FlowMod mod;
+        mod.match = r.match;
+        mod.cookie = r.cookie;
+        mod.priority = r.priority;
+        mod.command = openflow::FlowModCommand::kModifyStrict;
+        mod.actions = r.actions;
+        fleet.route_flow_mod(sw, mod, xid++);
+      }
+    } else if (op < 8 && !rules.empty() && failing.size() < 4) {
+      failing.emplace_back(sw, pick(rules).cookie);
+      rig.fail_rule(failing.back().first, failing.back().second);
+    } else if (op == 8 && !failing.empty()) {
+      rig.heal_rule(failing.front().first, failing.front().second);
+      failing.erase(failing.begin());
+    }
+
+    const std::uint64_t appended = store.appended();
+    rig.round();
+    switch (store.appended() - appended) {
+      case 2: ++counts.written; break;  // shard snapshot + fleet record
+      case 1: ++counts.skipped; break;  // fleet record only
+      default: break;
+    }
+    const auto latest = store.load_latest();
+    for (std::size_t c = 0; c < fleet.schedule().round_count(); ++c) {
+      for (const Fleet::ShardSlot& slot : fleet.round_plan(c)) {
+        if (!slot.checkpoint_written ||
+            slot.monitor->checkpoint_version() != slot.checkpoint_version) {
+          continue;  // changed: the next visit re-encodes it
+        }
+        const auto it = latest.find(slot.sw);
+        EXPECT_NE(it, latest.end()) << "shard " << slot.sw << " lost";
+        if (it == latest.end()) continue;
+        slot.monitor->encode_checkpoint(fresh, slot.checkpoint_budget);
+        EXPECT_TRUE(Checkpoint::decode(it->second).has_value());
+        EXPECT_EQ(without_when(it->second), without_when(fresh))
+            << "shard " << slot.sw << " round " << i << " workers "
+            << workers;
+        ++counts.checked;
+      }
+    }
+    check_versions(i, "(round)");
+    rig.advance(static_cast<netbase::SimTime>(5 + rng() % 25) * kMillisecond);
+    check_versions(i, "(timers)");
+  }
+  EXPECT_GE(plan.stats().kills, 2u);
+  EXPECT_GE(fleet.supervisor().stats.restores +
+                fleet.supervisor().stats.cold_restores,
+            2u);
+  fleet.stop();
+  return counts;
+}
+
+TEST(SnapshotParity, StoredSnapshotsMatchFreshEncodeAfterEveryRound) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    telemetry::CheckpointStore store;
+    const SnapshotParityCounts counts =
+        run_snapshot_parity(workers, store, 0x5EED + workers);
+    // Not vacuous: thousands of comparisons, and both writer paths ran.
+    EXPECT_GT(counts.checked, 2000u) << workers << " workers";
+    EXPECT_GT(counts.written, 20u) << workers << " workers";
+    EXPECT_GT(counts.skipped, 100u) << workers << " workers";
+  }
+}
+
+TEST(SnapshotParity, DiskStoreKeepsSkippedShardsAcrossSegmentDeletion) {
+  // The same run over a small on-disk store: segments rotate and the
+  // oldest are deleted while most shards are skipped for many rounds, so
+  // their only snapshot must be carried forward, never lost.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "monocle_snapshot_parity")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    telemetry::CheckpointStore::Options opts;
+    opts.dir = dir;
+    opts.segment_bytes = 4 * 1024;
+    opts.max_total_bytes = 32 * 1024;  // about twice the fleet's live set
+    telemetry::CheckpointStore store(opts);
+    const SnapshotParityCounts counts = run_snapshot_parity(1, store, 0xD15C);
+    EXPECT_GT(counts.checked, 2000u);
+    EXPECT_GT(store.segments_deleted(), 0u);
+    EXPECT_GT(store.records_carried(), 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RoundPlan, FollowsScheduleShardSetAndWorkerMigration) {
+  const auto topo = topo::make_rocketfuel_as(16, 21);
+  telemetry::CheckpointStore store;
+  FleetMtRig rig(topo, 2, {}, {&store, nullptr});
+  Fleet& fleet = rig.fleet();
+  // Every scheduled shard appears exactly once, in its colour, with its
+  // Monitor and worker resolved.
+  const auto expect_plan_matches = [&](const std::string& when) {
+    std::size_t slots = 0;
+    for (std::size_t c = 0; c < fleet.schedule().round_count(); ++c) {
+      const auto& round = fleet.schedule().round(c);
+      const auto& plan = fleet.round_plan(c);
+      std::size_t at = 0;
+      for (const SwitchId sw : round) {
+        Monitor* mon = fleet.monitor(sw);
+        if (mon == nullptr) continue;
+        ASSERT_LT(at, plan.size()) << when;
+        EXPECT_EQ(plan[at].sw, sw) << when;
+        EXPECT_EQ(plan[at].monitor, mon) << when;
+        EXPECT_EQ(plan[at].worker, fleet.shard_worker(sw)) << when;
+        ++at;
+      }
+      EXPECT_EQ(at, plan.size()) << when << " colour " << c;
+      slots += plan.size();
+    }
+    EXPECT_EQ(slots, fleet.shard_count()) << when;
+  };
+  expect_plan_matches("after prepare (sequential fallback)");
+  for (int i = 0; i < 30; ++i) {
+    rig.round();
+    rig.advance(10 * kMillisecond);
+  }
+
+  std::vector<SwitchId> ids;
+  for (const auto& [sw, mon] : fleet.shards()) ids.push_back(sw);
+  fleet.set_schedule(RoundSchedule::build(topo, ids));
+  ASSERT_GT(fleet.schedule().max_round_size(), 1u);
+  expect_plan_matches("after set_schedule");
+  // Per-shard bookkeeping survives the re-colouring.
+  std::size_t visited = 0;
+  for (std::size_t c = 0; c < fleet.schedule().round_count(); ++c) {
+    for (const auto& slot : fleet.round_plan(c)) {
+      if (slot.checkpoint_age > 0) ++visited;
+    }
+  }
+  EXPECT_GT(visited, 0u);
+
+  // No rounds run past this point: the rig's loopback wiring is per shard
+  // and per worker, and re-wiring it is not what is under test.
+  const SwitchId victim = ids[3];
+  ASSERT_TRUE(fleet.remove_shard(victim));
+  rig.mux().unregister_monitor(victim);
+  expect_plan_matches("after remove_shard");
+  Monitor::Hooks hooks;
+  hooks.to_switch = [](const openflow::Message&) {};
+  hooks.to_controller = [](const openflow::Message&) {};
+  hooks.inject = [](std::uint16_t, std::span<const std::uint8_t>) {
+    return false;
+  };
+  Monitor* readded = fleet.add_shard(victim, std::move(hooks));
+  ASSERT_NE(readded, nullptr);
+  rig.mux().register_monitor(victim, readded);
+  expect_plan_matches("after add_shard");
+
+  const SwitchId mover = ids[5];
+  const std::size_t from = fleet.shard_worker(mover);
+  ASSERT_TRUE(fleet.restore_shard(mover, (from + 1) % 2));
+  EXPECT_NE(fleet.shard_worker(mover), from);
+  expect_plan_matches("after restore_shard migration");
+  fleet.stop();
 }
 
 }  // namespace

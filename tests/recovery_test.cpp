@@ -209,6 +209,50 @@ TEST_F(CheckpointStoreDirTest, RotationDeletesOldSegmentsButKeepsLatest) {
   }
 }
 
+TEST_F(CheckpointStoreDirTest, KeyWrittenOnceSurvivesRotationsByCarryForward) {
+  // A shard whose state never changes is snapshotted once and then
+  // skipped; its only record must outlive any number of segment deletions.
+  CheckpointStore::Options opts = options();
+  opts.segment_bytes = 512;
+  opts.max_total_bytes = 2048;
+  const std::vector<std::uint8_t> quiet = blob({7, 7, 7, 7, 7, 7, 7, 7});
+  {
+    CheckpointStore store(opts);
+    store.append(1, quiet);
+    std::vector<std::uint8_t> payload(40);
+    std::size_t written = 0;
+    std::uint64_t sweep = 0;
+    while (written < 3 * opts.max_total_bytes) {
+      for (std::uint64_t key = 2; key <= 5; ++key) {
+        payload[0] = static_cast<std::uint8_t>(sweep);
+        payload[1] = static_cast<std::uint8_t>(key);
+        store.append(key, payload);
+        written += payload.size() + 32;  // frame header
+      }
+      ++sweep;
+    }
+    EXPECT_GT(store.segments_deleted(), 3u);
+    EXPECT_GT(store.records_carried(), 0u);
+    EXPECT_LE(store.disk_bytes(), opts.max_total_bytes + opts.segment_bytes);
+    const auto latest = store.load_latest();
+    ASSERT_EQ(latest.size(), 5u);
+    EXPECT_EQ(latest.at(1), quiet);
+    for (std::uint64_t key = 2; key <= 5; ++key) {
+      EXPECT_EQ(latest.at(key)[0], static_cast<std::uint8_t>(sweep - 1));
+    }
+  }
+  // Reopened from disk: recovery sees the carried copy as the latest too,
+  // and later rotations keep carrying it.
+  CheckpointStore reopened(opts);
+  ASSERT_TRUE(reopened.load(1).has_value());
+  EXPECT_EQ(*reopened.load(1), quiet);
+  std::vector<std::uint8_t> payload(40);
+  for (int i = 0; i < 200; ++i) reopened.append(2 + i % 4, payload);
+  EXPECT_GT(reopened.segments_deleted(), 0u);
+  ASSERT_TRUE(reopened.load(1).has_value());
+  EXPECT_EQ(*reopened.load(1), quiet);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint codec
 // ---------------------------------------------------------------------------
@@ -478,7 +522,7 @@ TEST(FleetRecovery, SupervisorDetectsKillAndRestoresFromCheckpoint) {
 
   RecoveryRig rig(grid, &hub, &store, &plan);
   const SwitchId victim = rig.bed->dpid_of(4);
-  // Round 40: late enough that the round-robin checkpoint cursor has
+  // Round 40: late enough that the least-recently-visited checkpoint writer has
   // covered every shard several times — the restore must be warm.
   plan.kill_shard(victim, 40);
   Fleet::SupervisorOptions sup;

@@ -4,9 +4,13 @@
 // simulated fabric fails and churns, and query(cookie, epoch_lo, epoch_hi)
 // afterwards reconstructs the exact per-rule history the fault suite's
 // ground truth predicts — including the negative claim that churn-excluded
-// rules never appear as diagnosed failures.
+// rules never appear as diagnosed failures.  Also: the journal's kConfirm
+// arg is the issue-to-confirm latency, and every published solver series
+// equals a fresh refresh of the shard's live sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -28,6 +32,7 @@ namespace {
 
 using netbase::kMillisecond;
 using netbase::kSecond;
+using netbase::SimTime;
 using openflow::Rule;
 using switchsim::EventQueue;
 using switchsim::FaultPlan;
@@ -222,6 +227,131 @@ TEST(TelemetryQuery, CleanFabricJournalsNoFailuresOrDiagnoses) {
   });
   // The journal accounting the hub exports must match what replay sees.
   EXPECT_EQ(rig.hub.journal().appended(), records);
+}
+
+
+TEST(TelemetryJournal, ConfirmArgIsIssueToConfirmLatency) {
+  TelemetryFaultRig rig;
+  rig.eq.run_until(1 * kSecond);
+  const SwitchId sw = rig.bed->dpid_of(4);
+  std::uint16_t out_port = 0;
+  for (const std::uint16_t p : rig.bed->network().ports(sw)) {
+    if (rig.bed->network().peer(sw, p).has_value()) out_port = p;
+  }
+  ASSERT_NE(out_port, 0);
+
+  // Outermost observer: the hook carries (cookie, confirm time).
+  std::map<std::uint64_t, SimTime> confirmed_at;
+  Monitor::Hooks& hooks = rig.bed->monitor(sw)->hooks_for_test();
+  auto prev = std::move(hooks.on_update_confirmed);
+  hooks.on_update_confirmed = [&confirmed_at, prev = std::move(prev)](
+                                  std::uint64_t cookie, SimTime when) {
+    confirmed_at[cookie] = when;
+    if (prev) prev(cookie, when);
+  };
+
+  // Disjoint host routes (no overlap, so no update is queued: each one's
+  // issue time is its route_flow_mod time).
+  std::map<std::uint64_t, SimTime> issued_at;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    openflow::FlowMod fm;
+    fm.command = openflow::FlowModCommand::kAdd;
+    fm.cookie = 0x5100 + i;
+    fm.priority = 500;
+    fm.match.set_exact(netbase::Field::EthType, netbase::kEthTypeIpv4);
+    fm.match.set_prefix(netbase::Field::IpDst, 0x0A630001u + (i << 8), 32);
+    fm.actions = {openflow::Action::output(out_port)};
+    issued_at[fm.cookie] = rig.eq.now();
+    ASSERT_TRUE(rig.bed->fleet()->route_flow_mod(sw, fm));
+    rig.eq.run_until(rig.eq.now() + 40 * kMillisecond);
+  }
+  rig.eq.run_until(rig.eq.now() + 500 * kMillisecond);
+  ASSERT_EQ(confirmed_at.size(), issued_at.size());
+
+  std::size_t checked = 0;
+  rig.hub.journal().replay([&](const EventRecord& rec) {
+    if (rec.kind != EventKind::kConfirm || rec.shard != sw) return;
+    const auto issued = issued_at.find(rec.cookie);
+    if (issued == issued_at.end()) return;
+    EXPECT_EQ(rec.when_ns, confirmed_at.at(rec.cookie));
+    EXPECT_EQ(rec.arg, confirmed_at.at(rec.cookie) - issued->second)
+        << "cookie " << rec.cookie;
+    EXPECT_GT(rec.arg, 0u);
+    ++checked;
+  });
+  EXPECT_EQ(checked, issued_at.size());
+}
+
+TEST(TelemetryPublish, SolverSeriesEqualAFreshRefreshAtEveryPublish) {
+  // Rounds driven by hand: nothing runs between a shard's publish (inside
+  // its burst) and the comparison below, so the sample must hold exactly
+  // what a refresh of its live sessions yields at that instant.  A
+  // session change that failed to mark the series stale shows up in the
+  // very round it happened.
+  TelemetryHub hub;
+  EventQueue eq;
+  Testbed::Options opts;
+  opts.use_fleet = true;
+  // Refills run a few rounds after the delta that caused them, so a live
+  // session's queries and its deltas land between different publishes.
+  opts.monitor.generation_delay = 12 * kMillisecond;
+  opts.fleet.round_interval = 5 * kMillisecond;
+  opts.fleet.probes_per_switch = 8;
+  opts.fleet.telemetry = &hub;
+  Testbed bed(&eq, topo::make_grid(3, 3), SwitchModel::ideal(), opts);
+  for (topo::NodeId n = 0; n < 9; ++n) {
+    const SwitchId sw = bed.dpid_of(n);
+    for (const Rule& r :
+         workloads::l3_host_routes_even(24, bed.network().ports(sw))) {
+      bed.monitor(sw)->seed_rule(r);
+      bed.sw(sw)->mutable_dataplane().add(r);
+    }
+  }
+  Fleet& fleet = *bed.fleet();
+  fleet.prepare();
+  eq.run_until(300 * kMillisecond);
+  const SwitchId center = bed.dpid_of(4);
+  workloads::ChurnProfile profile;
+  profile.seed = 3;
+  profile.acl.rule_count = 0;
+  profile.acl.sites = 6;
+  profile.acl.ports = 4;
+  bed.drive_churn(center,
+                  std::make_shared<workloads::ChurnGenerator>(
+                      profile, std::vector<Rule>{}),
+                  30 * kMillisecond, 400);
+
+  std::vector<telemetry::StatsSample> drained;
+  std::size_t compared = 0;
+  std::uint64_t first_retired = ~std::uint64_t{0};
+  std::uint64_t last_retired = 0;
+  for (int round = 0; round < 2400; ++round) {
+    fleet.start_round();
+    for (const auto& [sw, mon] : fleet.shards()) {
+      drained.clear();
+      hub.ring(sw)->drain(drained);
+      if (drained.empty()) continue;  // not in this round
+      const telemetry::StatsSample& s = drained.back();
+      mon->refresh_solver_stats();
+      EXPECT_EQ(s.counters[telemetry::kSolverSweeps],
+                mon->stats().solver_sweeps)
+          << "shard " << sw << " round " << round;
+      EXPECT_EQ(s.counters[telemetry::kSolverRetiredClauses],
+                mon->stats().solver_retired_clauses)
+          << "shard " << sw << " round " << round;
+      if (sw == center) {
+        first_retired = std::min(first_retired,
+                                 s.counters[telemetry::kSolverRetiredClauses]);
+        last_retired = s.counters[telemetry::kSolverRetiredClauses];
+      }
+      ++compared;
+    }
+    eq.run_until(eq.now() + 5 * kMillisecond);
+  }
+  EXPECT_GT(compared, 2000u);
+  // Not vacuous: the churned shard's series moved during the run.
+  EXPECT_GT(last_retired, first_retired);
+  fleet.stop();
 }
 
 }  // namespace
