@@ -12,6 +12,11 @@
 // per probe (craft/re-stamp, inject routing, PacketOut construction,
 // PacketIn decode, classification, outstanding bookkeeping, timers) runs
 // for real; only the switch data plane is shortcut.
+//
+// The harness also keeps the pre-fig11 cost profile fig11 measures against
+// (FastPathRig::Options::legacy) and the map-routed injection decision it
+// pays per probe (legacy_route), which tests/scaleout_test.cpp uses as the
+// routing reference for the flat Multiplexer.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +24,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "monocle/catching.hpp"
@@ -27,6 +34,7 @@
 #include "monocle/multiplexer.hpp"
 #include "monocle/round_engine.hpp"
 #include "monocle/runtime.hpp"
+#include "netbase/packet_crafter.hpp"
 #include "netbase/probe_metadata.hpp"
 #include "topo/topo_view.hpp"
 #include "workloads/forwarding.hpp"
@@ -106,13 +114,42 @@ class SlotRuntime final : public Runtime {
   std::vector<std::size_t> free_;
 };
 
+/// One PacketOut of the pre-flat Multiplexer: which switch sends it, its
+/// in_port and the port of its single output action.
+struct LegacyRoute {
+  SwitchId deliver = 0;
+  std::uint16_t in_port = 0;
+  std::uint16_t action_port = 0;
+};
+
+/// The pre-flat Multiplexer's injection decision for a probe entering
+/// `probed` on `in_port`, given the switches that have a sender: the
+/// upstream peer behind that port emits it on the port facing `probed`;
+/// without a peer the probed switch self-injects through OFPP_TABLE.  The
+/// peer's existence picks the branch — a missing sender on the chosen branch
+/// means no route, never a fallback to the other branch.
+inline std::optional<LegacyRoute> legacy_route(
+    const NetworkView& view, const std::unordered_set<SwitchId>& senders,
+    SwitchId probed, std::uint16_t in_port) {
+  if (const auto peer = view.peer(probed, in_port)) {
+    if (!senders.contains(peer->sw)) return std::nullopt;
+    return LegacyRoute{peer->sw, openflow::kPortNone, peer->port};
+  }
+  if (!senders.contains(probed)) return std::nullopt;
+  return LegacyRoute{probed, in_port, openflow::kPortTable};
+}
+
 class FastPathRig {
  public:
   struct Options {
     std::size_t rules_per_switch = 8;
-    /// Legacy baseline toggles (pre-fig11 cost profile).
-    bool compat_map_routing = false;
-    bool reuse_probe_wire = true;
+    /// The pre-fig11 cost profile, fig11's baseline.  Each injection
+    /// re-crafts the Monitor's frame into fresh buffers (encode_probe_metadata
+    /// + craft_packet) and sends a freshly allocated PacketOut routed by a
+    /// hash lookup (legacy_route); each catch is an owning parse_packet +
+    /// decode_probe_metadata dispatched straight to the Monitor.  Off: the
+    /// production path through the Multiplexer.
+    bool legacy = false;
     Monitor::Config monitor;  ///< base config (ids/rates overridden)
   };
 
@@ -124,25 +161,32 @@ class FastPathRig {
     }
     plan_ = CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
     mux_ = std::make_unique<Multiplexer>(&view_);
-    mux_->set_compat_map_routing(opts_.compat_map_routing);
 
     for (const SwitchId sw : dpids) {
       Monitor::Config cfg = opts_.monitor;
       cfg.switch_id = sw;
       cfg.steady_probe_rate = 0;  // externally paced bursts
       cfg.batch_threads = 1;      // deterministic single-threaded warm-up
-      cfg.reuse_probe_wire = opts_.reuse_probe_wire;
       Monitor::Hooks hooks;
       hooks.to_switch = [](const openflow::Message&) {};
       hooks.to_controller = [](const openflow::Message&) {};
       const SwitchOrdinal ord = mux_->intern(sw);
-      hooks.inject = [this, ord](std::uint16_t in_port,
-                                 std::span<const std::uint8_t> bytes) {
-        return mux_->inject_at(ord, in_port, bytes);
-      };
+      if (opts_.legacy) {
+        hooks.inject = [this, sw](std::uint16_t in_port,
+                                  std::span<const std::uint8_t> bytes) {
+          return legacy_inject(sw, in_port, bytes);
+        };
+      } else {
+        hooks.inject = [this, ord](std::uint16_t in_port,
+                                   std::span<const std::uint8_t> bytes) {
+          return mux_->inject_at(ord, in_port, bytes);
+        };
+      }
       auto monitor = std::make_unique<Monitor>(cfg, &runtime_, &view_, &plan_,
                                                std::move(hooks));
       mux_->register_monitor(sw, monitor.get());
+      legacy_monitors_.emplace(sw, monitor.get());
+      legacy_senders_.insert(sw);
       // Every switch delivers PacketOuts into the shared loopback queue.
       mux_->set_switch_sender(sw, [this, sw](const openflow::Message& m) {
         queue_packet_out(sw, m);
@@ -271,9 +315,64 @@ class FastPathRig {
     for (std::size_t i = 0; i < pending_used_; ++i) {
       if (!pending_[i].live) continue;
       pending_[i].live = false;
-      mux_->on_packet_in(pending_[i].catcher, pending_data_[i]);
+      if (opts_.legacy) {
+        legacy_packet_in(pending_[i].catcher, pending_data_[i]);
+      } else {
+        mux_->on_packet_in(pending_[i].catcher, pending_data_[i]);
+      }
     }
     pending_used_ = 0;
+  }
+
+  /// Options::legacy injection: the Monitor's encode + craft into fresh
+  /// buffers, then the Multiplexer's hash-routed copy into a fresh PacketOut.
+  bool legacy_inject(SwitchId probed, std::uint16_t in_port,
+                     std::span<const std::uint8_t> bytes) {
+    // The pre-fig11 Monitor crafted from the probe header it held; the rig
+    // parses each frame buffer once for it.  The Monitor re-stamps one
+    // buffer per rule and the rig drives no table updates, so a buffer
+    // keeps its header for the rig's lifetime.
+    auto known = legacy_frames_.find(bytes.data());
+    if (known == legacy_frames_.end() || known->second.size != bytes.size()) {
+      const auto view = netbase::parse_packet_view(bytes, false);
+      if (!view) return false;
+      known = legacy_frames_
+                  .insert_or_assign(
+                      bytes.data(),
+                      LegacyFrame{view->header, bytes.size(),
+                                  static_cast<std::size_t>(
+                                      view->payload.data() - bytes.data())})
+                  .first;
+    }
+    const LegacyFrame& f = known->second;
+    const auto meta =
+        netbase::ProbeMetadataView::parse(bytes.subspan(f.payload_offset));
+    if (!meta) return false;
+    const auto payload = netbase::encode_probe_metadata(meta->materialize());
+    const auto frame = netbase::craft_packet(f.header, payload);
+    const auto route = legacy_route(view_, legacy_senders_, probed, in_port);
+    if (!route) return false;
+    openflow::PacketOut po;
+    po.buffer_id = 0xFFFFFFFF;
+    po.data.assign(frame.begin(), frame.end());
+    po.in_port = route->in_port;
+    po.actions = {openflow::Action::output(route->action_port)};
+    queue_packet_out(route->deliver, openflow::make_message(0, std::move(po)));
+    return true;
+  }
+
+  /// Options::legacy collection: owning parse (payload copy) and a
+  /// hash-routed dispatch to the probed switch's Monitor.
+  void legacy_packet_in(SwitchId from, const openflow::PacketIn& pi) {
+    const auto parsed = netbase::parse_packet(pi.data);
+    if (!parsed) return;
+    const auto meta = netbase::decode_probe_metadata(parsed->payload);
+    if (!meta) return;
+    const auto it = legacy_monitors_.find(meta->switch_id);
+    if (it == legacy_monitors_.end()) return;
+    const netbase::PacketView view{parsed->header, parsed->payload,
+                                   parsed->checksums_valid};
+    it->second->on_probe_caught(from, pi.in_port, view, *meta);
   }
 
   topo::TopoView view_;
@@ -282,6 +381,16 @@ class FastPathRig {
   SlotRuntime runtime_;
   std::unique_ptr<Multiplexer> mux_;
   std::map<SwitchId, std::unique_ptr<Monitor>> monitors_;
+  // Options::legacy routing state: the hash-looked-up senders and monitors,
+  // and each Monitor frame buffer's parsed header.
+  struct LegacyFrame {
+    netbase::AbstractPacket header;
+    std::size_t size = 0;
+    std::size_t payload_offset = 0;
+  };
+  std::unordered_set<SwitchId> legacy_senders_;
+  std::unordered_map<SwitchId, Monitor*> legacy_monitors_;
+  std::unordered_map<const std::uint8_t*, LegacyFrame> legacy_frames_;
   std::unordered_map<std::uint64_t, CatchPoint> catch_points_;
   std::vector<PendingIn> pending_;            // slot metadata (reused)
   std::vector<openflow::PacketIn> pending_data_;  // buffers reused in place

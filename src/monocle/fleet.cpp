@@ -241,19 +241,24 @@ Monitor* Fleet::add_shard(SwitchId sw, channel::SwitchBackend& backend,
     // Ordinal-addressed injection: the shard's dense index is captured once
     // here, so the steady cycle's per-probe routing does no id lookup at
     // all (and the bytes travel as a borrowed span end to end).  Under the
-    // multi-worker engine the hook also carries the owning worker's
+    // multi-worker engine the hook sends through the CALLING worker's
     // InjectContext, keeping the Multiplexer send path read-only on shard
-    // state when two workers deliver through one upstream switch.
+    // state when two workers deliver through one upstream switch.  It is
+    // looked up per call, not bound here: restore_shard may migrate the
+    // shard to another worker.  Off-worker callers (single-threaded phases)
+    // pass null and borrow the delivering shard's own scratch.
     const SwitchOrdinal ord = mux.intern(sw);
-    Multiplexer::InjectContext* ctx = nullptr;
-    if (multi_worker()) {
-      if (inject_ctxs_.empty()) inject_ctxs_.resize(worker_count());
-      auto& slot = inject_ctxs_[next_shard_worker()];
-      if (!slot) slot = std::make_unique<Multiplexer::InjectContext>();
-      ctx = slot.get();
+    if (multi_worker() && inject_ctxs_.empty()) {
+      inject_ctxs_.resize(worker_count());
+      for (auto& ctx : inject_ctxs_) {
+        ctx = std::make_unique<Multiplexer::InjectContext>();
+      }
     }
-    hooks.inject = [&mux, ord, ctx](std::uint16_t in_port,
-                                    std::span<const std::uint8_t> bytes) {
+    hooks.inject = [this, &mux, ord](std::uint16_t in_port,
+                                     std::span<const std::uint8_t> bytes) {
+      const std::size_t w = RoundEngine::current_worker();
+      Multiplexer::InjectContext* ctx =
+          w < inject_ctxs_.size() ? inject_ctxs_[w].get() : nullptr;
       return mux.inject_at(ord, in_port, bytes, ctx);
     };
   }
@@ -368,7 +373,6 @@ Fleet::ShardSlot* Fleet::find_slot(SwitchId sw) {
 }
 
 void Fleet::warm_caches() {
-  if (!config_.monitor.batch_generation) return;  // lazy path stays lazy
   std::vector<Monitor*> work;
   work.reserve(shards_.size());
   for (auto& [sw, monitor] : shards_) work.push_back(monitor.get());

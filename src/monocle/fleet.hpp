@@ -561,7 +561,8 @@ class Fleet {
   std::map<SwitchId, std::size_t> shard_worker_;  // registration order % N
   std::size_t next_worker_ = 0;
   /// Per-worker Multiplexer injection contexts for the backend add_shard
-  /// overload's inject hooks (worker-local scratch/arena; multiplexer.hpp).
+  /// overload's inject hooks (worker-local scratch/arena; multiplexer.hpp),
+  /// indexed by RoundEngine::current_worker() at send time.
   std::vector<std::unique_ptr<Multiplexer::InjectContext>> inject_ctxs_;
   Multiplexer* mux_ = nullptr;  // for prepare()'s warm_routes()
   std::mutex mailbox_mu_;

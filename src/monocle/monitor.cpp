@@ -163,12 +163,10 @@ void Monitor::on_channel_state(bool up) {
 void Monitor::start() {
   if (config_.steady_probe_rate > 0 && !steady_running_) {
     steady_running_ = true;
-    if (config_.batch_generation) {
-      // Warm-up: pre-generate every rule's probe in one batched session pass
-      // while the catching rules settle, so the steady cycle never pays a
-      // cold per-rule generation.
-      refill_probe_cache();
-    }
+    // Warm-up: pre-generate every rule's probe in one batched session pass
+    // while the catching rules settle, so the steady cycle never pays a cold
+    // per-rule generation.
+    refill_probe_cache();
     warmup_timer_ = runtime_->schedule(config_.steady_warmup, [this] {
       warmup_timer_ = 0;
       if (steady_running_) schedule_steady_tick();
@@ -179,9 +177,7 @@ void Monitor::start() {
 void Monitor::start_externally_paced() {
   if (steady_running_) return;
   steady_running_ = true;  // enables coalesced cache refills on invalidation
-  if (config_.batch_generation) {
-    refill_probe_cache();  // no-op for rules the Fleet warm-up already cached
-  }
+  refill_probe_cache();  // no-op for rules the Fleet warm-up already cached
 }
 
 void Monitor::stop() {
@@ -302,7 +298,6 @@ void Monitor::refresh_solver_stats() {
 }
 
 bool Monitor::session_dominated(const ProbeBatchSession& s) const {
-  if (!config_.session_rebuild) return false;
   const sat::SolverStats& st = s.solver_stats();
   if (st.retired_arena_words >= config_.session_rebuild_min_words) {
     const auto live = static_cast<double>(std::max<std::size_t>(
@@ -353,17 +348,8 @@ std::size_t Monitor::rebuild_live_sessions() {
       }
     }
     if (sample != nullptr) {
-      const auto generate_on = [&](ProbeBatchSession& s) {
-        ProbeGenResult gen;
-        if (!all_ports.empty()) {
-          const std::uint16_t preferred = hashed_in_port(*sample, all_ports);
-          gen = s.generate(*sample, std::span(&preferred, 1));
-        }
-        if (!gen.ok()) gen = s.generate(*sample, all_ports);
-        return gen;
-      };
-      const ProbeGenResult before = generate_on(*ls.session);
-      const ProbeGenResult after = generate_on(*fresh);
+      const ProbeGenResult before = generate_on(*ls.session, *sample, all_ports);
+      const ProbeGenResult after = generate_on(*fresh, *sample, all_ports);
       if (before.ok() != after.ok() ||
           (!before.ok() && before.failure != after.failure)) {
         ++stats_.session_parity_fails;
@@ -413,7 +399,6 @@ void Monitor::collect_staleness(std::vector<netbase::SimTime>& out) const {
 
 void Monitor::warm_probe_cache() {
   refill_probe_cache();
-  if (!config_.reuse_probe_wire) return;
   // Pre-craft every cached probe's wire frame (generation/nonce are
   // re-stamped per injection anyway): without this the first steady probe
   // of each rule crafts lazily, so a measured or allocation-gated phase
@@ -736,7 +721,14 @@ void Monitor::confirm_update(std::uint64_t cookie) {
   if (job.kind == UpdateJob::Kind::kDelete) {
     erase_rule_state(cookie);
   } else {
-    set_rule_state(cookie, RuleState::kConfirmed);
+    // A refill that already found the rule unprobeable (e.g. a drop rule
+    // indistinguishable from the table miss) keeps it unmonitorable: the
+    // update is confirmed, but steady state has no probe to back kConfirmed.
+    const auto entry = cache_->entries.find(cookie);
+    const bool unmonitorable = entry != cache_->entries.end() &&
+                               entry->second.failure != ProbeFailure::kNone;
+    set_rule_state(cookie, unmonitorable ? RuleState::kUnmonitorable
+                                         : RuleState::kConfirmed);
   }
   steady_order_.clear();  // the confirmed rule now joins the steady cycle
   ++stats_.updates_confirmed;
@@ -872,6 +864,21 @@ std::uint16_t Monitor::hashed_in_port(
   return all_ports[h % all_ports.size()];
 }
 
+ProbeGenResult Monitor::generate_on(
+    ProbeBatchSession& session, const Rule& rule,
+    const std::vector<std::uint16_t>& all_ports) const {
+  // Prefer a single (rule-hashed) ingress port so injection load spreads
+  // across upstream neighbors instead of hammering one of them; fall back to
+  // the full port set when the constraint is unsatisfiable with that port.
+  ProbeGenResult gen;
+  if (!all_ports.empty()) {
+    const std::uint16_t preferred = hashed_in_port(rule, all_ports);
+    gen = session.generate(rule, std::span(&preferred, 1));
+  }
+  if (!gen.ok()) gen = session.generate(rule, all_ports);
+  return gen;
+}
+
 const Probe* Monitor::probe_for(const Rule& rule) {
   ProbeCache::Entry* entry = probe_entry_for(rule);
   return entry == nullptr ? nullptr : &*entry->probe;
@@ -893,36 +900,11 @@ ProbeCache::Entry* Monitor::probe_entry_for(const Rule& rule) {
                                                  collect_downstream(rule));
   const auto all_ports = injectable_ports();
   const auto t0 = std::chrono::steady_clock::now();
-  ProbeGenResult gen;
-  // Prefer a single (rule-hashed) ingress port so injection load spreads
-  // across upstream neighbors instead of hammering one of them; fall back to
-  // the full port set when the constraint is unsatisfiable with that port.
-  if (config_.delta_maintenance && config_.batch_generation) {
-    // Lazy misses ride the warm delta-maintained session too.
-    ProbeBatchSession& session = live_session_for(collect);
-    solver_stats_stale_ = true;
-    if (!all_ports.empty()) {
-      const std::uint16_t preferred = hashed_in_port(rule, all_ports);
-      gen = session.generate(rule, std::span(&preferred, 1));
-    }
-    if (!gen.ok()) gen = session.generate(rule, all_ports);
-    ++stats_.delta_regens;
-  } else {
-    ProbeRequest req;
-    req.table = &expected_.table();
-    req.probed = rule;
-    req.collect = collect;
-    req.miss_actions = config_.miss_actions;
-    if (!all_ports.empty()) {
-      req.in_ports = {hashed_in_port(rule, all_ports)};
-      gen = generator_.generate(req);
-    }
-    if (!gen.ok()) {
-      req.in_ports = all_ports;
-      gen = generator_.generate(req);
-    }
-    ++stats_.scratch_regens;
-  }
+  // Lazy misses ride the warm delta-maintained session.
+  ProbeBatchSession& session = live_session_for(collect);
+  solver_stats_stale_ = true;
+  ProbeGenResult gen = generate_on(session, rule, all_ports);
+  ++stats_.delta_regens;
   stats_.generation_time += std::chrono::steady_clock::now() - t0;
   if (commit_generation_result(rule, std::move(gen)) == nullptr) return nullptr;
   return &cache_->entries[rule.cookie];
@@ -989,24 +971,16 @@ void Monitor::batch_generate_into_cache(
     // Small refill batches (the churn steady state) ride the live
     // delta-maintained session: its solver is warm from every previous
     // query and only the changed rules' clauses get encoded.  Big batches
-    // (initial warm-up) and the non-delta baseline go through throwaway
-    // generate_all sessions — that path parallelizes across workers.
-    const bool live = config_.delta_maintenance && config_.batch_generation &&
-                      group.rules.size() <= config_.live_session_batch_limit;
-    if (live) {
-      // Two-step port preference per rule, exactly like probe_for, so the
-      // delta path and the lazy path produce identical cache contents.
+    // (initial warm-up) go through throwaway generate_all sessions — that
+    // path parallelizes across workers.
+    if (group.rules.size() <= config_.live_session_batch_limit) {
+      // Same port preference as probe_for, so the delta path and the lazy
+      // path produce identical cache contents.
       ProbeBatchSession& session = live_session_for(group.collect);
       solver_stats_stale_ = true;
       for (const Rule* rule : group.rules) {
-        ProbeGenResult gen;
-        if (!all_ports.empty()) {
-          const std::uint16_t preferred = hashed_in_port(*rule, all_ports);
-          gen = session.generate(*rule, std::span(&preferred, 1));
-        }
-        if (!gen.ok()) gen = session.generate(*rule, all_ports);
         ++stats_.delta_regens;
-        commit_generation_result(*rule, std::move(gen));
+        commit_generation_result(*rule, generate_on(session, *rule, all_ports));
       }
       continue;
     }
@@ -1170,7 +1144,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
       ++stats_.probe_invalidations;
       // A deleted rule (or the displaced version of a replace) needs no
       // refill; everything else steady-state probing will want again soon.
-      if (!gone && config_.batch_generation && steady_running_) {
+      if (!gone && steady_running_) {
         dirty_probe_cookies_.insert(cookie);
       }
     }
@@ -1236,7 +1210,7 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   // outstanding entry, where the staleness floors compare it.
   const auto generation = static_cast<std::uint32_t>(epoch);
 
-  if (config_.reuse_probe_wire && entry != nullptr && entry->wire.valid()) {
+  if (entry != nullptr && entry->wire.valid()) {
     // Steady fast path: re-stamp the per-injection fields of the cached
     // frame in place — no metadata encode, no expected-outcome hash (it is
     // constant per probe and already embedded), zero allocations.
@@ -1254,12 +1228,7 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   meta.nonce = nonce;
 
   bool ok = false;
-  if (!config_.reuse_probe_wire) {
-    // Pre-fig11 baseline: encode + craft fresh buffers per injection.
-    auto payload = netbase::encode_probe_metadata(meta);
-    auto bytes = netbase::craft_packet(probe.packet, payload);
-    ok = hooks_.inject(probe.in_port(), bytes);
-  } else if (entry != nullptr) {
+  if (entry != nullptr) {
     // First injection of this rule: craft once into the cache entry; every
     // later injection re-stamps it above.
     entry->wire = netbase::craft_probe_wire(probe.packet, meta);

@@ -205,30 +205,18 @@ class Monitor {
     /// Table-miss behaviour of the switch (default: drop).
     openflow::ActionList miss_actions{};
     ProbeGenerator::Options gen;
-    /// Batched probe generation through table-scoped solver sessions
-    /// (probe_batch.hpp): pre-fills the probe cache at steady-state start
-    /// and re-fills it (coalesced) after overlapping-probe invalidation,
-    /// instead of paying a fresh SAT encoding per rule on the probing path.
-    bool batch_generation = true;
-    /// Worker threads for batch generation; 0 = hardware concurrency.
+    /// Worker threads for batch generation (probe_batch.hpp); 0 = hardware
+    /// concurrency.
     int batch_threads = 0;
-    /// Delta-driven probe maintenance (PR 4): keep one live
-    /// ProbeBatchSession per collect group, synced to every TableDelta via
-    /// apply_delta(), and regenerate invalidated probes on its warm
-    /// incremental solver.  Off: every refill re-encodes through throwaway
-    /// sessions (the invalidate-and-refill baseline fig10 compares against).
-    bool delta_maintenance = true;
-    /// Refill batches larger than this bypass the live sessions and go
-    /// through the parallel generate_all() path (initial warm-up of a big
-    /// table wants the worker pool; churn refills want the warm solver).
+    /// Rule probes come from table-scoped solver sessions: the probe cache
+    /// is pre-filled at steady-state start and re-filled (coalesced) after
+    /// invalidation.  One live ProbeBatchSession per collect group follows
+    /// every TableDelta (apply_delta()) and answers refills and lazy misses
+    /// on its warm incremental solver; refill batches larger than this
+    /// bypass it and go through the parallel generate_all() path (initial
+    /// warm-up of a big table wants the worker pool; churn refills want the
+    /// warm solver).
     std::size_t live_session_batch_limit = 256;
-    /// Steady-state probes re-stamp one cached wire frame per rule
-    /// (generation/nonce patch + checksum refresh) instead of re-crafting
-    /// the packet per injection — the zero-allocation fast path.  Off:
-    /// every injection encodes and crafts from scratch (the pre-fig11 cost
-    /// profile, kept as the parity/benchmark baseline; bytes on the wire
-    /// are identical either way, asserted by tests/scaleout_test.cpp).
-    bool reuse_probe_wire = true;
     // --- endurance controls (PR 9; docs/DESIGN.md §14) -------------------
     /// Background live-session rebuild: when a batch session's cumulative
     /// retired mass dominates its live mass by session_rebuild_factor — and
@@ -242,7 +230,6 @@ class Monitor {
     ///  * retired variables: top-level-fixed vars vs. live vars (binary-
     ///    dominated encodings never touch the clause arena — their aging is
     ///    the per-query variable/watch-list growth the arena cannot see).
-    bool session_rebuild = true;
     double session_rebuild_factor = 8.0;
     std::size_t session_rebuild_min_words = 1u << 16;
     std::size_t session_rebuild_min_vars = 1u << 14;
@@ -411,7 +398,7 @@ class Monitor {
   /// to `out` — the fig14 bench builds its p95 from this.
   void collect_staleness(std::vector<netbase::SimTime>& out) const;
   /// True when any live batch session's retired-clause mass dominates (see
-  /// Config::session_rebuild*).  Cheap: O(live sessions).
+  /// Config::session_rebuild_factor).  Cheap: O(live sessions).
   [[nodiscard]] bool session_rebuild_due() const;
   /// Rebuilds every dominated live session against the current table: a
   /// fresh ProbeBatchSession is constructed, parity-checked against the
@@ -699,11 +686,15 @@ class Monitor {
   [[nodiscard]] std::uint16_t hashed_in_port(
       const openflow::Rule& rule,
       const std::vector<std::uint16_t>& all_ports) const;
-  /// Emits one probe frame.  With a cache `entry` on the fast path the
-  /// frame is crafted once into entry->wire and re-stamped thereafter;
-  /// without one (update-confirmation probes, reuse_probe_wire off) it is
-  /// crafted per call — into the reusable scratch buffer on the fast path,
-  /// into fresh vectors on the pre-fig11 baseline.
+  /// Generates `rule`'s probe on `session`: the rule-hashed ingress port
+  /// first, the full port set when that port cannot satisfy the probe.
+  ProbeGenResult generate_on(ProbeBatchSession& session,
+                             const openflow::Rule& rule,
+                             const std::vector<std::uint16_t>& all_ports) const;
+  /// Emits one probe frame.  With a cache `entry` the frame is crafted
+  /// once into entry->wire and re-stamped thereafter; without one
+  /// (update-confirmation probes) it is crafted per call into the reusable
+  /// scratch buffer.
   bool inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
                            openflow::Epoch epoch, std::uint32_t nonce);
   std::optional<Observation> translate_observation(

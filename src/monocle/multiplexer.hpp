@@ -14,9 +14,10 @@
 // per-shard route cache for the upstream-injection decision, a per-shard
 // scratch PacketOut message whose data buffer cycles through a per-shard
 // netbase::BufferArena, and zero-copy PacketIn decoding
-// (parse_packet_view + ProbeMetadataView).  The legacy map-based routing
-// with per-probe crafting survives behind set_compat_map_routing(true) as
-// the parity/benchmark baseline (tests/scaleout_test.cpp, fig11).
+// (parse_packet_view + ProbeMetadataView).  The pre-flat map-routed cost
+// profile fig11 measures against lives in the bench harness
+// (bench/fastpath_harness.hpp), which tests/scaleout_test.cpp also uses as
+// the routing reference.
 #pragma once
 
 #include <atomic>
@@ -168,13 +169,6 @@ class Multiplexer {
   bool route_flow_mod(SwitchId sw, const openflow::FlowMod& fm,
                       std::uint32_t xid = 0);
 
-  /// Parity/benchmark baseline: route every message through the pre-flat
-  /// path — unordered_map id lookups plus a freshly allocated PacketOut per
-  /// injection.  Behaviour (bytes on the wire, routing decisions) is
-  /// identical; only the cost profile differs.
-  void set_compat_map_routing(bool on) { compat_map_routing_ = on; }
-  [[nodiscard]] bool compat_map_routing() const { return compat_map_routing_; }
-
   [[nodiscard]] std::uint64_t packet_outs_sent() const {
     return packet_outs_.load(std::memory_order_relaxed);
   }
@@ -222,7 +216,6 @@ class Multiplexer {
     Shard* cold = nullptr;
     const Route* routes = nullptr;  ///< = cold->routes.data() (kept in sync)
     std::uint32_t route_count = 0;
-    SwitchId sw = 0;
     /// Plain field bumped through relaxed std::atomic_ref: workers count
     /// without contention, readers sample tear-free.
     std::uint64_t packet_outs = 0;
@@ -253,18 +246,6 @@ class Multiplexer {
                        std::span<const std::uint8_t> packet,
                        InjectContext* ctx);
 
-  /// True when control messages for the shard can currently reach it
-  /// (always true for plain set_switch_sender wiring; the bound backend's
-  /// up() state otherwise).
-  [[nodiscard]] static bool sender_up(const Shard& s) {
-    return s.backend == nullptr || s.backend->up();
-  }
-
-  // Legacy map-routed implementations (compat_map_routing_).
-  bool inject_compat(SwitchId probed, std::uint16_t in_port,
-                     std::span<const std::uint8_t> packet);
-  bool on_packet_in_compat(SwitchId from, const openflow::PacketIn& pi);
-
   /// Re-syncs hot_[ord] from shards_[ord] after a registration change (cold
   /// path; the hot paths never write slot wiring).
   void sync_hot(SwitchOrdinal ord);
@@ -276,10 +257,9 @@ class Multiplexer {
   /// (kInvalidOrdinal holes).  Ids beyond kMaxDenseId fall back to the map.
   static constexpr SwitchId kMaxDenseId = 1 << 20;
   std::vector<SwitchOrdinal> ordinal_index_;
-  /// Cold-path registry (registration, compat mode, huge sparse ids).
+  /// Cold-path registry for the huge sparse ids.
   std::unordered_map<SwitchId, SwitchOrdinal> ordinal_map_;
   std::uint32_t routes_gen_ = 1;
-  bool compat_map_routing_ = false;
   std::atomic<std::uint64_t> packet_outs_{0};
 };
 

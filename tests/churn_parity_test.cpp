@@ -5,12 +5,14 @@
 // cached probes that still verify byte-for-byte against the live table
 // (verify_probe), and periodic full-table classification sweeps.  Also pins
 // the Monitor-level §4.2 properties under the delta path: overlapping
-// updates queue FIFO behind unconfirmed updates exactly as without delta
-// maintenance, a sustained churn stream confirms every update in both
-// modes with identical outcomes, and churn never turns stale echoes into
-// rule failures.
+// updates queue FIFO behind unconfirmed updates, a sustained churn stream
+// confirms every update exactly once and ends on the table a standalone
+// TableVersion replay reaches, with every rule classified as a fresh
+// session classifies it, and churn never turns stale echoes into rule
+// failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <unordered_map>
 
@@ -55,7 +57,11 @@ Rule catch_rule() {
   return r;
 }
 
-bool infra(std::uint64_t cookie) { return (cookie >> 48) == 0xCA7C; }
+/// Catching, filter and drop-tag rules (Monitor's infrastructure cookies).
+bool infra(std::uint64_t cookie) {
+  const std::uint64_t prefix = cookie >> 48;
+  return prefix == 0xCA7C || prefix == 0xF117 || prefix == 0xD209;
+}
 
 const std::vector<std::uint16_t> kInPorts{1, 2, 3, 4};
 
@@ -220,13 +226,12 @@ TEST(ChurnParity, ShadowedVerdictRegeneratesOnSamePriorityDelete) {
 // Monitor-level properties under the delta path
 // ---------------------------------------------------------------------------
 
-Monitor::Config fast_config(bool delta_maintenance) {
+Monitor::Config fast_config() {
   Monitor::Config cfg;
   cfg.steady_probe_rate = 1000.0;
   cfg.steady_warmup = 50 * kMillisecond;
   cfg.generation_delay = 1 * kMillisecond;
   cfg.update_probe_interval = 2 * kMillisecond;
-  cfg.delta_maintenance = delta_maintenance;
   return cfg;
 }
 
@@ -243,107 +248,142 @@ FlowMod add_fm(std::uint64_t cookie, std::uint32_t dst, int prefix,
 }
 
 /// §4.2: an update overlapping a still-unconfirmed update must queue and
-/// apply FIFO after the first confirms — identically with and without
-/// delta maintenance.
+/// apply FIFO after the first confirms.
 TEST(ChurnParity, OverlapQueueSemanticsPreservedUnderDeltaPath) {
-  for (const bool delta : {true, false}) {
-    switchsim::EventQueue eq;
-    Testbed::Options opts;
-    opts.monitor = fast_config(delta);
-    Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
-    Monitor* mon = bed.monitor(1);
-    std::vector<std::uint64_t> confirmed;
-    mon->hooks_for_test().on_update_confirmed =
-        [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
-    bed.start_monitoring();
-    eq.run_until(100 * kMillisecond);
+  switchsim::EventQueue eq;
+  Testbed::Options opts;
+  opts.monitor = fast_config();
+  Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
+  Monitor* mon = bed.monitor(1);
+  std::vector<std::uint64_t> confirmed;
+  mon->hooks_for_test().on_update_confirmed =
+      [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
+  bed.start_monitoring();
+  eq.run_until(100 * kMillisecond);
 
-    // Two overlapping adds back-to-back: the second must queue (§4.2).
-    bed.controller_send(1, openflow::make_message(1, add_fm(501, 0x0A000100, 24, 1)));
-    bed.controller_send(1, openflow::make_message(2, add_fm(502, 0x0A000142, 32, 2, 30)));
-    EXPECT_EQ(mon->pending_update_count(), 1u) << "delta=" << delta;
-    EXPECT_EQ(mon->stats().updates_queued, 1u) << "delta=" << delta;
-    // A third, non-overlapping add still queues FIFO behind the queue.
-    bed.controller_send(1, openflow::make_message(3, add_fm(503, 0x0AFF0001, 32, 1)));
-    EXPECT_EQ(mon->stats().updates_queued, 2u) << "delta=" << delta;
+  // Two overlapping adds back-to-back: the second must queue (§4.2).
+  bed.controller_send(1, openflow::make_message(1, add_fm(501, 0x0A000100, 24, 1)));
+  bed.controller_send(1, openflow::make_message(2, add_fm(502, 0x0A000142, 32, 2, 30)));
+  EXPECT_EQ(mon->pending_update_count(), 1u);
+  EXPECT_EQ(mon->stats().updates_queued, 1u);
+  // A third, non-overlapping add still queues FIFO behind the queue.
+  bed.controller_send(1, openflow::make_message(3, add_fm(503, 0x0AFF0001, 32, 1)));
+  EXPECT_EQ(mon->stats().updates_queued, 2u);
 
-    eq.run_until(eq.now() + 2 * netbase::kSecond);
-    EXPECT_EQ(confirmed,
-              (std::vector<std::uint64_t>{501, 502, 503}))
-        << "delta=" << delta;
-    EXPECT_EQ(mon->pending_update_count(), 0u);
-    EXPECT_EQ(mon->rule_state(502), RuleState::kConfirmed);
-  }
+  eq.run_until(eq.now() + 2 * netbase::kSecond);
+  EXPECT_EQ(confirmed, (std::vector<std::uint64_t>{501, 502, 503}));
+  EXPECT_EQ(mon->pending_update_count(), 0u);
+  EXPECT_EQ(mon->rule_state(502), RuleState::kConfirmed);
 }
 
-/// A sustained churn stream through the full simulated control channel:
-/// both modes confirm every update, fail none, never false-alarm a steady
-/// rule, and end with identical expected tables and rule states.
+/// A sustained churn stream through the full simulated control channel
+/// confirms every update exactly once, fails none, never false-alarms a
+/// steady rule, and ends on the expected table a standalone TableVersion
+/// reaches by replaying the same stream — with every rule classified the
+/// way a fresh batch session on that final table classifies it.
 TEST(ChurnParity, MonitorChurnStreamEquivalentWithAndWithoutDelta) {
-  struct Outcome {
-    std::vector<std::uint64_t> confirmed;
-    std::size_t failed = 0;
-    std::size_t alarms = 0;
-    std::vector<Rule> final_rules;
-    MonitorStats stats;
-  };
-  auto run = [&](bool delta) {
-    switchsim::EventQueue eq;
-    Testbed::Options opts;
-    opts.monitor = fast_config(delta);
-    Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(), opts);
-    Monitor* mon = bed.monitor(1);
+  constexpr SwitchId kSw = 1;
+  constexpr std::size_t kUpdates = 150;
+  switchsim::EventQueue eq;
+  Testbed::Options opts;
+  opts.monitor = fast_config();
+  Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(), opts);
+  Monitor* mon = bed.monitor(kSw);
 
-    const auto rules = workloads::l3_host_routes(60, {1, 2, 3, 4}, 21);
-    for (const Rule& r : rules) {
-      mon->seed_rule(r);
-      bed.sw(1)->mutable_dataplane().add(r);
+  const auto rules = workloads::l3_host_routes(60, {1, 2, 3, 4}, 21);
+  for (const Rule& r : rules) {
+    mon->seed_rule(r);
+    bed.sw(kSw)->mutable_dataplane().add(r);
+  }
+  std::vector<std::uint64_t> confirmed;
+  std::size_t failed = 0;
+  std::size_t alarms = 0;
+  mon->hooks_for_test().on_update_confirmed =
+      [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
+  mon->hooks_for_test().on_update_failed = [&](std::uint64_t, SimTime) {
+    ++failed;
+  };
+  mon->hooks_for_test().on_alarm = [&](const RuleAlarm&) { ++alarms; };
+  bed.start_monitoring();
+  eq.run_until(200 * kMillisecond);
+
+  workloads::ChurnProfile churn;
+  churn.seed = 5;
+  churn.acl.sites = 4;
+  churn.acl.ports = 4;
+  churn.min_rules = 30;
+  churn.max_rules = 120;
+  // The reference replays the same seeded stream on a standalone versioned
+  // table, starting from the Monitor's pre-churn expected table.
+  TableVersion replay(mon->expected_table());
+  workloads::ChurnGenerator reference(churn, rules);
+  std::vector<std::uint64_t> issued;
+  for (std::size_t i = 0; i < kUpdates; ++i) {
+    const FlowMod fm = reference.next();
+    issued.push_back(fm.cookie);
+    replay.apply(fm);
+  }
+
+  auto gen = std::make_shared<workloads::ChurnGenerator>(churn, rules);
+  bed.drive_churn(kSw, gen, 8 * kMillisecond, kUpdates);
+  eq.run_until(eq.now() + kUpdates * 8 * kMillisecond + 3 * netbase::kSecond);
+  EXPECT_EQ(mon->pending_update_count(), 0u);
+
+  // Every issued update confirmed exactly once (a cookie issued k times —
+  // add, then modifies — is confirmed k times), none failed, no alarms:
+  // churn must never read as rule failure.
+  EXPECT_GT(confirmed.size(), 100u);
+  std::sort(issued.begin(), issued.end());
+  std::sort(confirmed.begin(), confirmed.end());
+  EXPECT_EQ(confirmed, issued);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(alarms, 0u);
+  // The delta path did the regeneration work.
+  EXPECT_GT(mon->stats().delta_regens, 0u);
+
+  // The Monitor's expected table is the replayed one.
+  const FlowTable& final_table = mon->expected_table();
+  EXPECT_EQ(final_table.rules(), replay.table().rules());
+
+  // Every rule's state agrees with a fresh session on the final table:
+  // monitorable <=> kConfirmed, unmonitorable <=> kUnmonitorable.
+  const NetworkView& net = bed.network();
+  std::vector<std::uint16_t> in_ports;
+  for (const std::uint16_t p : net.ports(kSw)) {
+    if (net.peer(kSw, p).has_value()) in_ports.push_back(p);
+  }
+  const auto downstream = [&](const Rule& r) {
+    for (const auto& [port, rewrite] : r.outcome().emissions) {
+      if (const auto peer = net.peer(kSw, port)) return peer->sw;
     }
-    Outcome out;
-    mon->hooks_for_test().on_update_confirmed =
-        [&](std::uint64_t cookie, SimTime) { out.confirmed.push_back(cookie); };
-    mon->hooks_for_test().on_update_failed =
-        [&](std::uint64_t, SimTime) { ++out.failed; };
-    mon->hooks_for_test().on_alarm = [&](const RuleAlarm&) { ++out.alarms; };
-    bed.start_monitoring();
-    eq.run_until(200 * kMillisecond);
-
-    workloads::ChurnProfile churn;
-    churn.seed = 5;
-    churn.acl.sites = 4;
-    churn.acl.ports = 4;
-    churn.min_rules = 30;
-    churn.max_rules = 120;
-    auto gen = std::make_shared<workloads::ChurnGenerator>(churn, rules);
-    bed.drive_churn(1, gen, 8 * kMillisecond, 150);
-    eq.run_until(eq.now() + 150 * 8 * kMillisecond + 3 * netbase::kSecond);
-
-    out.final_rules = mon->expected_table().rules();
-    out.stats = mon->stats();
-    EXPECT_EQ(mon->pending_update_count(), 0u) << "delta=" << delta;
-    return out;
+    return in_ports.empty() ? kSw : net.peer(kSw, in_ports.front())->sw;
   };
-
-  const Outcome with_delta = run(true);
-  const Outcome without = run(false);
-
-  // Same updates entered, same confirmations came out, in the same order.
-  EXPECT_EQ(with_delta.confirmed, without.confirmed);
-  EXPECT_GT(with_delta.confirmed.size(), 100u);
-  EXPECT_EQ(with_delta.failed, 0u);
-  EXPECT_EQ(without.failed, 0u);
-  // Churn must never read as rule failure (stale echoes are classified
-  // stale, pending rules are skipped by the steady cycle).
-  EXPECT_EQ(with_delta.alarms, 0u);
-  EXPECT_EQ(without.alarms, 0u);
-  // Identical final expected tables.
-  EXPECT_EQ(with_delta.final_rules, without.final_rules);
-  // The delta mode actually exercised the live sessions; the baseline the
-  // throwaway path.
-  EXPECT_GT(with_delta.stats.delta_regens, 0u);
-  EXPECT_EQ(without.stats.delta_regens, 0u);
-  EXPECT_GT(without.stats.scratch_regens, 0u);
-  EXPECT_EQ(with_delta.stats.deltas_applied, without.stats.deltas_applied);
+  const auto observable = [&](const OutcomePrediction& pred) {
+    return std::all_of(
+        pred.observations.begin(), pred.observations.end(),
+        [&](const Observation& o) {
+          return o.output_port == openflow::kPortController ||
+                 net.peer(kSw, o.output_port).has_value();
+        });
+  };
+  std::size_t monitorable = 0;
+  std::size_t unmonitorable = 0;
+  for (const Rule& r : final_table.rules()) {
+    if (infra(r.cookie)) continue;
+    ProbeBatchSession fresh(final_table,
+                            bed.plan().collect_match_for(kSw, downstream(r)),
+                            {});
+    const ProbeGenResult gen_result = fresh.generate(r, in_ports);
+    const bool ok = gen_result.ok() &&
+                    observable(gen_result.probe->if_present) &&
+                    observable(gen_result.probe->if_absent);
+    EXPECT_EQ(mon->rule_state(r.cookie),
+              ok ? RuleState::kConfirmed : RuleState::kUnmonitorable)
+        << "rule " << r.cookie << " ("
+        << probe_failure_name(gen_result.failure) << ")";
+    ++(ok ? monitorable : unmonitorable);
+  }
+  EXPECT_GT(monitorable, 0u);
 }
 
 /// Epoch bookkeeping: cache entries are stamped with the generation epoch,
@@ -351,7 +391,7 @@ TEST(ChurnParity, MonitorChurnStreamEquivalentWithAndWithoutDelta) {
 TEST(ChurnParity, CacheEntriesCarryEpochs) {
   switchsim::EventQueue eq;
   Testbed::Options opts;
-  opts.monitor = fast_config(true);
+  opts.monitor = fast_config();
   Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
   Monitor* mon = bed.monitor(1);
   bed.start_monitoring();

@@ -5,17 +5,20 @@
 // delivery through the Fleet mailbox, mid-round stress teardown, and the
 // Fleet::Stats consistent-snapshot regression, changed-only checkpoint
 // parity (a skipped shard's stored snapshot equals a fresh encode) at 1 and
-// 2 workers, and the round plan's rebuilds.  This suite carries the
+// 2 workers, the round plan's rebuilds, and per-worker inject contexts
+// across a shard migration.  This suite carries the
 // `tsan` ctest label: the CI ThreadSanitizer leg builds it with
 // -fsanitize=thread, so every cross-thread edge here is a checked claim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
@@ -236,16 +239,16 @@ class FleetMtRig {
 
     for (const SwitchId sw : dpids) {
       const SwitchOrdinal ord = mux_->intern(sw);
-      // The Fleet pins the shard to next_shard_worker(); our inject context
-      // must agree with that assignment.
-      Multiplexer::InjectContext* ctx =
-          &wk_[fleet_->next_shard_worker() % wk_.size()]->ctx;
       Monitor::Hooks hooks;
       hooks.to_switch = [](const openflow::Message&) {};
       hooks.to_controller = [](const openflow::Message&) {};
-      hooks.inject = [this, ord, ctx](std::uint16_t in_port,
-                                      std::span<const std::uint8_t> bytes) {
-        return mux_->inject_at(ord, in_port, bytes, ctx);
+      // Send through the CALLING worker's inject context, not one bound at
+      // registration: restore_shard may migrate the shard to another worker.
+      hooks.inject = [this, ord](std::uint16_t in_port,
+                                 std::span<const std::uint8_t> bytes) {
+        const std::size_t cw = RoundEngine::current_worker();
+        return mux_->inject_at(ord, in_port, bytes,
+                               cw < wk_.size() ? &wk_[cw]->ctx : nullptr);
       };
       Monitor* mon = fleet_->add_shard(sw, std::move(hooks));
       mux_->register_monitor(sw, mon);
@@ -608,6 +611,96 @@ TEST(FleetMt, WorkerWedgeMigratesShardsToHealthyWorker) {
   EXPECT_EQ(fleet.failed_rule_count(), 0u);
   fleet.stop();
   EXPECT_EQ(rig.pending_timers(), 0u);
+}
+
+TEST(FleetMt, MigratedShardSendsThroughItsNewWorkersInjectContext) {
+  // Every leaf of a star injects through the hub, so all leaf shards share
+  // one upstream deliverer.  restore_shard moves one leaf to the other
+  // worker while its old worker keeps bursting the remaining leaves.  Each
+  // PacketOut envelope (an InjectContext's scratch message) must then be
+  // filled by exactly one worker: a migrated hook still bound to its old
+  // worker's context has two workers writing one envelope and arena at once.
+  const auto topo = topo::make_star(6);  // hub dpid 1, leaves 2..7
+  const topo::TopoView view(topo);
+  std::vector<SwitchId> dpids;
+  for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
+    dpids.push_back(view.dpid_of(n));
+  }
+  const CatchPlan plan =
+      CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
+
+  struct EnvelopeLog {
+    std::mutex mu;
+    std::map<const openflow::Message*, std::set<std::size_t>> workers;
+  };
+  struct StubBackend final : channel::SwitchBackend {
+    explicit StubBackend(EnvelopeLog* log) : log(log) {}
+    void start() override {}
+    void stop() override {}
+    void send(const openflow::Message& m) override {
+      if (!m.is<openflow::PacketOut>()) return;
+      const std::lock_guard<std::mutex> lock(log->mu);
+      log->workers[&m].insert(RoundEngine::current_worker());
+    }
+    void set_receiver(Receiver) override {}
+    void set_state_handler(StateHandler) override {}
+    [[nodiscard]] bool up() const override { return true; }
+    [[nodiscard]] std::uint64_t datapath_id() const override { return 0; }
+    EnvelopeLog* log;
+  };
+
+  // Declared before the Fleet: its destructor rebinds them monitor-less.
+  EnvelopeLog log;
+  Multiplexer mux(&view);
+  std::vector<std::unique_ptr<StubBackend>> backends;
+  bench::SlotRuntime orch;
+  std::array<bench::SlotRuntime, 2> runtimes;
+
+  Fleet::Config config;
+  config.round_workers = 2;
+  config.worker_runtimes = {&runtimes[0], &runtimes[1]};
+  config.probes_per_switch = 4;
+  Fleet fleet(config, &orch, &view, &plan);
+  for (const SwitchId sw : dpids) {
+    backends.push_back(std::make_unique<StubBackend>(&log));
+    Monitor* mon = fleet.add_shard(sw, *backends.back(), mux);
+    for (const openflow::Rule& r :
+         workloads::l3_host_routes_even(4, view.ports(sw))) {
+      mon->seed_rule(r);
+    }
+  }
+  // Radius-1 colouring: the hub alone, then every leaf in one round.
+  RoundScheduleOptions sched;
+  sched.conflict_radius = 1;
+  fleet.set_schedule(RoundSchedule::build(topo, dpids, sched));
+  fleet.prepare();
+
+  // The leaf to migrate, and the leaves its old worker keeps.
+  const SwitchId moved = 3;
+  const std::size_t from = fleet.shard_worker(moved);
+  const std::size_t to = 1 - from;
+  std::size_t stay = 0;
+  for (const SwitchId sw : dpids) {
+    stay += sw != 1 && sw != moved && fleet.shard_worker(sw) == from;
+  }
+  ASSERT_GE(stay, 2u);
+
+  for (int i = 0; i < 10; ++i) fleet.start_round();
+  ASSERT_TRUE(fleet.restore_shard(moved, to));
+  ASSERT_EQ(fleet.shard_worker(moved), to);
+  const std::uint64_t before = fleet.monitor(moved)->stats().probes_injected;
+  for (int i = 0; i < 60; ++i) fleet.start_round();
+  EXPECT_GT(fleet.monitor(moved)->stats().probes_injected, before)
+      << "the migrated shard never burst on its new worker";
+  fleet.stop();
+
+  ASSERT_GE(log.workers.size(), 2u);
+  for (const auto& [envelope, workers] : log.workers) {
+    EXPECT_EQ(workers.size(), 1u)
+        << "one PacketOut envelope was filled by " << workers.size()
+        << " workers";
+    EXPECT_EQ(workers.count(SIZE_MAX), 0u) << "probe sent off the workers";
+  }
 }
 
 TEST(FleetMt, StressTeardownWithCheckpointWritesInFlight) {
