@@ -153,6 +153,10 @@ class FleetLoopRig {
 
     fleet_->set_schedule(std::move(schedule_));
     fleet_->prepare();
+    // The Fleet never sees this rig-owned Multiplexer, so warm it here the
+    // way Fleet::prepare warms its own: routes resolved, every deliverer's
+    // send buffers in place before the first measured round.
+    mux_->warm_routes();
 
     for (const SwitchId sw : dpids_) {
       const Monitor& mon = *fleet_->monitor(sw);

@@ -58,13 +58,14 @@ bool decode_prediction(Reader& r, OutcomePrediction& pred) {
   pred.kind = static_cast<openflow::ForwardKind>(kind);
   const std::uint64_t n = r.get_count();
   if (!r.ok) return false;
-  pred.observations.resize(n);
+  pred.observations.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
-    Observation& obs = pred.observations[i];
+    Observation obs;
     obs.output_port = static_cast<std::uint16_t>(r.get());
     for (int w = 0; w < netbase::kHeaderWords; ++w) {
       obs.header.w[static_cast<std::size_t>(w)] = r.get();
     }
+    pred.observations.push_back(obs);
   }
   return r.ok;
 }

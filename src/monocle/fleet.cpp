@@ -432,10 +432,13 @@ void Fleet::prepare() {
       }
       return injected;
     });
-    // Pre-resolve every injection route: the concurrent phase must never
-    // take the lazy resolve path (it resizes the cache under readers).
-    if (mux_ != nullptr) mux_->warm_routes();
   }
+  // Pre-resolve every injection route and warm every deliverer's send
+  // buffers: the concurrent phase must never take the lazy resolve path (it
+  // resizes the cache under readers), and no round may pay a shard's first
+  // delivery — a budget spike can route a probe through a deliverer, or
+  // enter on a port, that no earlier round used.
+  if (mux_ != nullptr) mux_->warm_routes();
   drain_mailbox();  // deltas observed during install/warm-up
 }
 
@@ -662,7 +665,7 @@ void Fleet::note_delta(SwitchId sw, const openflow::TableDelta& delta) {
   }
 }
 
-void Fleet::collect_reports() const {
+std::size_t Fleet::collect_reports() const {
   const netbase::SimTime now = runtime_->now();
   reports_.clear();
   std::size_t used = 0;  // exclusion sets handed out this pass
@@ -685,6 +688,7 @@ void Fleet::collect_reports() const {
     }
     if (!excluded.empty()) reports_.back().excluded = &excluded;
   }
+  return used;
 }
 
 void Fleet::schedule_evidence_pass(netbase::SimTime delay) {
@@ -696,7 +700,7 @@ void Fleet::schedule_evidence_pass(netbase::SimTime delay) {
 
 void Fleet::run_evidence_pass() {
   bump(stats_.evidence_passes);
-  collect_reports();
+  const std::size_t failing_shards = collect_reports();
   evidence_.observe(reports_, *view_, runtime_->now());
 
   const NetworkDiagnosis diag = evidence_.diagnosis();
@@ -721,7 +725,7 @@ void Fleet::run_evidence_pass() {
 
   // Keep observing while anything is failed or suspicion is alive; a later
   // alarm re-arms the pipeline through note_alarm once the fabric is clean.
-  if (failed_rule_count() > 0 || evidence_.suspect_count() > 0) {
+  if (failing_shards > 0 || evidence_.suspect_count() > 0) {
     schedule_evidence_pass(config_.evidence_interval);
   }
 }

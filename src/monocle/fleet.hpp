@@ -474,8 +474,8 @@ class Fleet {
   void note_delta(SwitchId sw, const openflow::TableDelta& delta);
   /// Fills reports_ with one report per shard.  Only shards with failed
   /// rules get an exclusion set (from exclusions_): localize_network walks
-  /// no other table.
-  void collect_reports() const;
+  /// no other table.  Returns the number of such shards.
+  std::size_t collect_reports() const;
   void schedule_evidence_pass(netbase::SimTime delay);
   void run_evidence_pass();
   /// Applies Config::crash_plan's events for this round boundary: kills

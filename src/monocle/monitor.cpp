@@ -83,7 +83,10 @@ void Monitor::on_channel_state(bool up) {
     // Echoes that left before the cut are stale on arrival: a barrier epoch
     // separates pre-outage injections from everything after.  (A channel
     // that was never up carried no probes, so there is nothing to stale.)
-    if (channel_was_up_) epoch_floor_ = expected_.advance_epoch();
+    if (channel_was_up_) {
+      epoch_floor_ = expected_.advance_epoch();
+      max_floor_ = std::max(max_floor_, epoch_floor_);
+    }
     runtime_->cancel(steady_timer_);
     steady_timer_ = 0;
     runtime_->cancel(warmup_timer_);
@@ -113,7 +116,7 @@ void Monitor::on_channel_state(bool up) {
   }
   // Reconnected.  The switch may have restarted and lost its rules, so the
   // catching infrastructure goes out again (idempotent when it survived);
-  // then the steady cycle re-arms from the top of the rule order.
+  // then the steady cycle re-arms.
   reassert_infrastructure();
   // FlowMods of still-unconfirmed updates may have died with the channel:
   // re-issue them (adds replace identical match+priority, deletes of absent
@@ -153,7 +156,6 @@ void Monitor::on_channel_state(bool up) {
           [this, cookie = job.rule.cookie] { inject_update_probe(cookie); });
     }
   }
-  steady_pos_ = 0;
   if (steady_running_ && config_.steady_probe_rate > 0 && steady_timer_ == 0) {
     schedule_steady_tick();
   }
@@ -1103,7 +1105,6 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
   // unconditionally BEFORE anything else so no later step can walk stale
   // pointers.  The next tick rebuilds against the post-delta table.
   steady_order_.clear();
-  steady_pos_ = 0;
   // Live sessions track every delta in application order — a cheap
   // positional cache patch; the incremental solver survives untouched.
   for (auto& ls : live_sessions_) {
@@ -1121,7 +1122,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
   // itself: a probe is one concrete packet, and a rule that cannot match it
   // can neither shadow its Hit nor enter either of its outcome predictions
   // (if_present is the probed rule's own outcome; if_absent is the first
-  /// OTHER rule matching the packet).  The probe stays valid, its verdict
+  // OTHER rule matching the packet).  The probe stays valid, its verdict
   // semantics stay exact, and its in-flight echoes stay meaningful — so
   // churn cost scales with what the change actually touches.
   for (const std::uint64_t cookie : delta.affected_cookies()) {
@@ -1139,6 +1140,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
     // Observations from probes injected before this epoch are about a table
     // that no longer exists: stale, not failures.
     rule_floor_[cookie] = delta.epoch;
+    max_floor_ = std::max(max_floor_, delta.epoch);
     if (cache_->entries.erase(cookie) > 0) {
       ++cache_->version;
       ++stats_.probe_invalidations;
@@ -1246,8 +1248,11 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   return ok;
 }
 
-void Monitor::insert_outstanding(std::uint32_t nonce,
-                                 const OutstandingProbe& op) {
+void Monitor::insert_outstanding(std::uint32_t nonce, OutstandingProbe op,
+                                 ProbeCache::Entry* entry) {
+  op.entry = entry;
+  op.cache_version = cache_->version;
+  op.cache_binding = cache_binding_;
   if (outstanding_.size() >= outstanding_peak_) {
     outstanding_peak_ = outstanding_.size() + 1;  // spare-pool watermark
   }
@@ -1267,6 +1272,20 @@ void Monitor::insert_outstanding(std::uint32_t nonce,
     return;
   }
   outstanding_[nonce] = op;
+}
+
+ProbeCache::Entry* Monitor::cached_entry(const OutstandingProbe& op) {
+  if (op.entry != nullptr && op.cache_binding == cache_binding_ &&
+      op.cache_version == cache_->version) {
+    return op.entry;
+  }
+  const auto it = cache_->entries.find(op.cookie);
+  return it == cache_->entries.end() ? nullptr : &it->second;
+}
+
+bool Monitor::epoch_stale(const OutstandingProbe& op) const {
+  return op.epoch < max_floor_ &&
+         (op.epoch < epoch_floor_ || op.epoch < rule_floor(op.cookie));
 }
 
 void Monitor::retire_outstanding(OutstandingMap::iterator it) {
@@ -1301,7 +1320,16 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
     ++stats_.stale_probes;
     return;
   }
-  const std::uint64_t cookie = out_it->second.cookie;
+  const OutstandingProbe& op = out_it->second;
+  const std::uint64_t cookie = op.cookie;
+  // One lookup serves both uses of the rule's update job below; outside
+  // update confirmation the map is empty and none is made.
+  UpdateJob* job = nullptr;
+  if (!updates_.empty()) {
+    if (const auto it = updates_.find(cookie); it != updates_.end()) {
+      job = &it->second;
+    }
+  }
   // Epoch-keyed staleness for STEADY probes: one injected against an older
   // table version (pre-delta, or pre-outage) proves nothing about the rule
   // NOW — classify stale, never as a failure.  (Invalidation purges such
@@ -1309,10 +1337,8 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
   // flight toward us.)  Update-confirmation probes are exempt: they
   // re-inject until the data plane applies THIS update and may legitimately
   // confirm across overlapping deltas and channel outages (§4.1).
-  if (updates_.find(cookie) == updates_.end() &&
-      (out_it->second.epoch < epoch_floor_ ||
-       out_it->second.epoch < rule_floor(cookie))) {
-    runtime_->cancel(out_it->second.timer);
+  if (job == nullptr && epoch_stale(op)) {
+    runtime_->cancel(op.timer);
     retire_outstanding(out_it);
     ++stats_.stale_probes;
     ++stats_.stale_epoch_drops;
@@ -1326,14 +1352,11 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
 
   // Locate the probe this observation answers.
   const Probe* probe = nullptr;
-  const auto job_it = updates_.find(cookie);
-  if (job_it != updates_.end() && job_it->second.probe.has_value()) {
-    probe = &*job_it->second.probe;
-  } else {
-    const auto cache_it = cache_->entries.find(cookie);
-    if (cache_it != cache_->entries.end() && cache_it->second.probe) {
-      probe = &*cache_it->second.probe;
-    }
+  if (job != nullptr && job->probe.has_value()) {
+    probe = &*job->probe;
+  } else if (ProbeCache::Entry* entry = cached_entry(op);
+             entry != nullptr && entry->probe) {
+    probe = &*entry->probe;
   }
   if (probe == nullptr) {
     ++stats_.stale_probes;
@@ -1342,12 +1365,11 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
 
   const Verdict verdict = classify_observation(*probe, *obs);
 
-  if (job_it != updates_.end()) {
-    UpdateJob& job = job_it->second;
-    job.silent_injections = 0;
+  if (job != nullptr) {
+    job->silent_injections = 0;
     const bool confirms =
-        (job.kind == UpdateJob::Kind::kDelete) ? verdict == Verdict::kAbsent
-                                               : verdict == Verdict::kPresent;
+        (job->kind == UpdateJob::Kind::kDelete) ? verdict == Verdict::kAbsent
+                                                : verdict == Verdict::kPresent;
     // Caught is resolved either way: the nonce leaves the outstanding set
     // (confirm_update then purges any siblings still in flight).
     retire_outstanding(out_it);
@@ -1358,7 +1380,7 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
   }
 
   // Steady-state probe.
-  runtime_->cancel(out_it->second.timer);
+  runtime_->cancel(op.timer);
   retire_outstanding(out_it);
   if (verdict == Verdict::kPresent) {
     if (const auto s = suspects_.find(cookie); s != suspects_.end()) {
@@ -1424,7 +1446,6 @@ Monitor::SteadyEntry* Monitor::next_steady_entry() {
       steady_order_.push_back(
           SteadyEntry{r.cookie, &r, &st->second, nullptr, &lp->second, 0});
     }
-    steady_pos_ = 0;
     wheel_built_ = false;  // bucket indices point into the old order
     // Cookie-rotating churn leaves last-probed stamps behind for cookies
     // that left the table; prune when the map doubled past the live order
@@ -1570,7 +1591,7 @@ bool Monitor::inject_steady_probe(SteadyEntry& slot) {
   op.timer = runtime_->schedule(
       config_.probe_timeout / std::max(1, config_.probe_retries),
       [this, nonce] { on_steady_timeout(nonce); });
-  insert_outstanding(nonce, op);
+  insert_outstanding(nonce, op, entry);
   return true;
 }
 
@@ -1582,17 +1603,13 @@ void Monitor::on_steady_timeout(std::uint32_t nonce) {
 
   // Stale by epoch: the table (or the channel) changed under this probe; its
   // silence says nothing about the rule as it stands now.
-  if (op.epoch < epoch_floor_ || op.epoch < rule_floor(op.cookie)) {
+  if (epoch_stale(op)) {
     ++stats_.stale_epoch_drops;
     return;
   }
 
-  const auto cache_it = cache_->entries.find(op.cookie);
-  ProbeCache::Entry* entry =
-      (cache_it != cache_->entries.end() && cache_it->second.probe)
-          ? &cache_it->second
-          : nullptr;
-  if (entry == nullptr) {
+  ProbeCache::Entry* entry = cached_entry(op);
+  if (entry == nullptr || !entry->probe) {
     // Entry vanished under an in-flight confirmation probe: the evidence is
     // gone with it — drop the suspicion rather than stall it timer-less.
     drop_suspect(op.cookie);
@@ -1636,7 +1653,7 @@ void Monitor::on_steady_timeout(std::uint32_t nonce) {
     op2.timer = runtime_->schedule(
         config_.probe_timeout / std::max(1, config_.probe_retries),
         [this, nonce2] { on_steady_timeout(nonce2); });
-    insert_outstanding(nonce2, op2);
+    insert_outstanding(nonce2, op2, entry);
     return;
   }
   if (config_.confirm_probes > 0) {
@@ -1718,7 +1735,7 @@ void Monitor::inject_suspect_probe(std::uint64_t cookie) {
   op.timer = runtime_->schedule(
       config_.probe_timeout / std::max(1, config_.probe_retries),
       [this, nonce] { on_steady_timeout(nonce); });
-  insert_outstanding(nonce, op);
+  insert_outstanding(nonce, op, entry);
 }
 
 void Monitor::suspect_strike(std::uint64_t cookie) {
@@ -1832,6 +1849,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
   // failure evidence (the same floor mechanism on_channel_state uses).
   while (expected_.epoch() < cp.epoch) expected_.advance_epoch();
   epoch_floor_ = std::max(cp.epoch_floor, expected_.advance_epoch());
+  max_floor_ = std::max(max_floor_, epoch_floor_);
 
   for (const Checkpoint::RuleVerdict& v : cp.verdicts) {
     switch (v.state) {
@@ -1862,6 +1880,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
     // restored for fidelity: the sweep accounting and tests see the same
     // map a never-crashed monitor would carry.
     rule_floor_[f.cookie] = f.epoch;
+    max_floor_ = std::max(max_floor_, f.epoch);
     ++rs.floors;
   }
 
@@ -1910,7 +1929,6 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
   // re-admitted cache.  The wire frames re-craft lazily on first injection
   // (warm_probe_cache pre-crafts them when the Fleet warms off-path).
   steady_order_.clear();
-  steady_pos_ = 0;
   wheel_built_ = false;
   return rs;
 }
@@ -1942,13 +1960,13 @@ void Monitor::reset_for_recovery() {
   failed_.clear();
   rule_floor_.clear();
   epoch_floor_ = 0;
+  max_floor_ = 0;
   ++checkpoint_version_;
   live_sessions_.clear();
   solver_stats_stale_ = true;
   cache_->entries.clear();
   ++cache_->version;
   steady_order_.clear();
-  steady_pos_ = 0;
   wheel_built_ = false;
   for (auto& bucket : wheel_) bucket.clear();
   wheel_pos_.fill(0);

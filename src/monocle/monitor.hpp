@@ -339,13 +339,14 @@ class Monitor {
   void seed_rule(const openflow::Rule& rule);
 
   /// Shares a probe cache across monitors/trials.  Clears the steady cycle:
-  /// its slots cache Entry* into the outgoing cache's map.
+  /// its slots cache Entry* into the outgoing cache's map.  In-flight probes
+  /// keep their Entry* too; the new binding makes them look it up again.
   void set_probe_cache(std::shared_ptr<ProbeCache> cache) {
     // Keeps checkpoint_version() strictly increasing across the swap.
     checkpoint_version_ += cache_->version + 1;
     cache_ = std::move(cache);
+    ++cache_binding_;
     steady_order_.clear();
-    steady_pos_ = 0;
   }
 
   [[nodiscard]] const openflow::FlowTable& expected_table() const {
@@ -549,6 +550,12 @@ class Monitor {
     int tries_left = 0;
     std::uint64_t timer = 0;
     netbase::SimTime first_injected = 0;
+    /// The cache entry the probe was injected from (null for update
+    /// probes), trusted only while the cache binding and version it was
+    /// read under still hold — see cached_entry().
+    ProbeCache::Entry* entry = nullptr;
+    std::uint64_t cache_version = 0;
+    std::uint32_t cache_binding = 0;
   };
 
   struct HeldBarrier {
@@ -625,6 +632,16 @@ class Monitor {
   /// must yield no verdict, not a timeout-derived one).
   bool inject_steady_probe(SteadyEntry& slot);
   void on_steady_timeout(std::uint32_t nonce);
+  /// The cache entry of `op`'s rule: the one recorded at injection while
+  /// the cache is still the same binding at the same version (no entry was
+  /// inserted, erased or changed since, so the pointer is live and current),
+  /// else a fresh lookup.  The binding, not the version, tells caches apart:
+  /// set_probe_cache may install a cache whose version equals the old one.
+  [[nodiscard]] ProbeCache::Entry* cached_entry(const OutstandingProbe& op);
+  /// True when `op` was injected below its rule's floor or the channel
+  /// floor.  max_floor_ bounds both, so a probe at or above it skips the
+  /// floor lookup.
+  [[nodiscard]] bool epoch_stale(const OutstandingProbe& op) const;
   void mark_rule_failed(std::uint64_t cookie);
   // K-of-N suspect confirmation (Config::confirm_probes).  A rule enters
   // suspects_ when its probe train exhausts (or an absent echo arrives),
@@ -720,6 +737,13 @@ class Monitor {
   std::unordered_map<std::uint64_t, openflow::Epoch> rule_floor_;
   /// Monitor-wide floor (bumped across channel outages via a barrier epoch).
   openflow::Epoch epoch_floor_ = 0;
+  /// The largest value ever written to rule_floor_ or epoch_floor_ (reset
+  /// with them).  Not the table epoch: restore_checkpoint copies floors that
+  /// can exceed the restored epoch.
+  openflow::Epoch max_floor_ = 0;
+  /// Bumped by set_probe_cache: the identity OutstandingProbe::entry is
+  /// checked against (see cached_entry()).
+  std::uint32_t cache_binding_ = 0;
   /// Live delta-maintained batch sessions, one per collect group; synced to
   /// every delta by apply_table_delta, created lazily by live_session_for.
   struct LiveSession {
@@ -745,7 +769,6 @@ class Monitor {
   std::vector<HeldBarrier> barriers_;
 
   std::vector<SteadyEntry> steady_order_;  // resolved cycle (see SteadyEntry)
-  std::size_t steady_pos_ = 0;
   /// Priority wheel over steady_order_ (indices): bucket 0 holds the
   /// stalest rules, the last bucket the freshest; picks drain bucket 0
   /// first.  Bucket vectors keep their capacity across re-bins, so the
@@ -776,7 +799,10 @@ class Monitor {
   /// extracts the node here, every inject re-keys one from here.
   std::vector<OutstandingMap::node_type> outstanding_spares_;
   static constexpr std::size_t kMaxOutstandingSpares = 256;
-  void insert_outstanding(std::uint32_t nonce, const OutstandingProbe& op);
+  /// Registers `op` under `nonce`.  A probe injected from cache `entry`
+  /// records it with the cache binding and version (cached_entry()).
+  void insert_outstanding(std::uint32_t nonce, OutstandingProbe op,
+                          ProbeCache::Entry* entry = nullptr);
   /// extract()s the node behind `it` into the spare pool; invalidates `it`.
   void retire_outstanding(OutstandingMap::iterator it);
 

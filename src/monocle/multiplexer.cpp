@@ -188,9 +188,15 @@ Multiplexer::Route& Multiplexer::route_for(SwitchOrdinal ord,
 
 void Multiplexer::warm_routes() {
   for (SwitchOrdinal ord = 0; ord < shards_.size(); ++ord) {
-    for (const std::uint16_t port : view_->ports(shards_[ord]->sw)) {
+    Shard& shard = *shards_[ord];
+    for (const std::uint16_t port : view_->ports(shard.sw)) {
       route_for(ord, port);
     }
+    // Context-free sends build the PacketOut in the delivering shard's own
+    // envelope and arena: give both their one-probe working set now, as
+    // InjectContext does for a worker's.
+    shard.scratch.as<openflow::PacketOut>().actions.reserve(1);
+    shard.arena.prewarm(1, 256);
   }
 }
 

@@ -147,9 +147,10 @@ class Multiplexer {
 
   /// Pre-resolves the route cache of every interned shard for every port of
   /// its switch, so the concurrent injection phase never hits the lazy
-  /// resolve/resize path.  Call after registration settles (and again after
-  /// any wiring change); the Fleet's prepare() does this when it runs a
-  /// multi-worker engine.
+  /// resolve/resize path, and warms each shard's own PacketOut envelope and
+  /// arena, so a shard's first delivery does not allocate.  Call after
+  /// registration settles (and again after any wiring change); the Fleet's
+  /// prepare() does this.
   void warm_routes();
 
   /// Examines a PacketIn received from switch `from`.  If it carries probe

@@ -4,19 +4,24 @@
 
 namespace monocle {
 
-netbase::PackedBits strip_in_port(netbase::PackedBits header) {
-  const auto& info = netbase::field_info(netbase::Field::InPort);
-  for (int i = 0; i < info.width; ++i) {
-    header.set(info.bit_offset + i, false);
-  }
-  return header;
-}
-
 namespace {
-bool contains(const std::vector<Observation>& set, const Observation& obs) {
+/// Every header bit except in_port's.
+constexpr netbase::PackedBits in_port_clear_mask() {
+  netbase::PackedBits mask = ~netbase::PackedBits{};
+  const auto& info = netbase::field_info(netbase::Field::InPort);
+  for (int i = 0; i < info.width; ++i) mask.set(info.bit_offset + i, false);
+  return mask;
+}
+constexpr netbase::PackedBits kInPortClearMask = in_port_clear_mask();
+
+bool contains(const ObservationList& set, const Observation& obs) {
   return std::find(set.begin(), set.end(), obs) != set.end();
 }
 }  // namespace
+
+netbase::PackedBits strip_in_port(netbase::PackedBits header) {
+  return header & kInPortClearMask;
+}
 
 std::uint32_t hash_prediction(const OutcomePrediction& prediction) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a

@@ -7,7 +7,9 @@
 // single caught packet (or a definite absence of one) decides rule presence.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "netbase/abstract_packet.hpp"
@@ -27,12 +29,73 @@ struct Observation {
   friend bool operator==(const Observation&, const Observation&) = default;
 };
 
+/// The observations of one prediction, in insertion order.  A forwarding
+/// rule predicts one observation and a drop rule none, so a list of at most
+/// one lives inline — classifying a caught probe then reads nothing beyond
+/// the probe itself.  A list of two or more (multicast, ECMP) moves wholly
+/// to the heap, so iteration stays contiguous.
+class ObservationList {
+ public:
+  using value_type = Observation;
+  using iterator = Observation*;
+  using const_iterator = const Observation*;
+
+  ObservationList() = default;
+  ObservationList(std::initializer_list<Observation> init) {
+    for (const Observation& o : init) push_back(o);
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    return spill_.empty() ? inline_size_ : spill_.size();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] Observation* data() {
+    return spill_.empty() ? &first_ : spill_.data();
+  }
+  [[nodiscard]] const Observation* data() const {
+    return spill_.empty() ? &first_ : spill_.data();
+  }
+  [[nodiscard]] iterator begin() { return data(); }
+  [[nodiscard]] iterator end() { return data() + size(); }
+  [[nodiscard]] const_iterator begin() const { return data(); }
+  [[nodiscard]] const_iterator end() const { return data() + size(); }
+  Observation& operator[](std::size_t i) { return data()[i]; }
+  const Observation& operator[](std::size_t i) const { return data()[i]; }
+
+  void push_back(const Observation& o) {
+    if (spill_.empty()) {
+      if (inline_size_ == 0) {
+        first_ = o;
+        inline_size_ = 1;
+        return;
+      }
+      spill_.reserve(2);
+      spill_.push_back(first_);
+      inline_size_ = 0;
+    }
+    spill_.push_back(o);
+  }
+  void clear() {
+    spill_.clear();
+    inline_size_ = 0;
+  }
+
+  friend bool operator==(const ObservationList& a, const ObservationList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  Observation first_;               ///< the element while size() <= 1
+  std::vector<Observation> spill_;  ///< every element once size() >= 2
+  std::uint8_t inline_size_ = 0;    ///< 0 or 1 while spill_ is empty
+};
+
 /// The observable result of one rule processing the probe.
 struct OutcomePrediction {
   openflow::ForwardKind kind = openflow::ForwardKind::kMulticast;
   /// Multicast: ALL of these observations occur (none, for a drop rule).
   /// ECMP: exactly ONE of them occurs.
-  std::vector<Observation> observations;
+  ObservationList observations;
 
   [[nodiscard]] bool is_drop() const { return observations.empty(); }
 };
